@@ -2597,3 +2597,214 @@ mod serialization_order {
         }
     }
 }
+
+#[cfg(test)]
+mod golden_pins {
+    //! Golden pins: literal outcome fingerprints and selections, generated
+    //! by commit 55ef165 on x86_64 Linux — before the superseded engine
+    //! executors (per-query parallel, ungrouped batched) were deleted —
+    //! and required to hold unchanged ever since. The byte-identity
+    //! contract used to be enforced by keeping those executors alive as
+    //! comparison twins; these constants replace them. Every surviving
+    //! path (sequential `grpsel_in`, the Z-grouped scheduler at workers
+    //! 1/2/4/8, a warm child born by `extended_over`) must reproduce the
+    //! same memoized p-value/statistic bits (`outcomes_fingerprint`), the
+    //! same partition and the same CI-test count.
+
+    use fairsel_ci::{CiTest, CiTestBatch, FisherZ, GTest, OracleCi, PermutationCmi, Rcit};
+    use fairsel_core::{grpsel_batched_in, grpsel_in, Problem, SelectConfig, Selection};
+    use fairsel_datasets::sim::sample_table;
+    use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
+    use fairsel_engine::CiSession;
+    use fairsel_table::{EncodedTable, Table};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Arc;
+
+    const ROWS: usize = 600;
+
+    /// One pinned run: `(fingerprint, c1, c2, rejected, tests_used)`.
+    type Pin = (
+        u64,
+        &'static [usize],
+        &'static [usize],
+        &'static [usize],
+        u64,
+    );
+
+    const GTEST: Pin = (
+        5373885092177031740,
+        &[4, 5, 6, 7, 8, 9, 10, 11, 12],
+        &[],
+        &[2, 3, 13],
+        28,
+    );
+    const FISHERZ: Pin = (
+        1284041005693495798,
+        &[4, 5, 6, 7, 8, 9, 10, 11, 12],
+        &[13],
+        &[2, 3],
+        28,
+    );
+    const PERM_CMI: Pin = (
+        11787502925299692389,
+        &[4, 5, 6, 7, 8, 9, 10, 11, 12],
+        &[13],
+        &[2, 3],
+        28,
+    );
+    const RCIT: Pin = (
+        14267925218617843284,
+        &[4, 5, 6, 7, 8, 9, 10, 11, 12],
+        &[13],
+        &[2, 3],
+        28,
+    );
+    /// Oracle: `(c1, c2, rejected, tests_used)` — the fingerprint of
+    /// decided outcomes carries no statistic bits worth pinning.
+    const ORACLE: (&[usize], &[usize], &[usize], u64) = (
+        &[
+            2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+            26, 27, 28, 29, 30, 31, 33, 34, 35, 37, 38, 39, 40, 41, 44, 46, 47, 48, 49, 50, 51, 52,
+            53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 65,
+        ],
+        &[],
+        &[32, 36, 42, 43, 45, 64],
+        85,
+    );
+    /// Append: the warm child's fingerprint and `tests_used` after the
+    /// re-select.
+    const APPEND_CHILD: (u64, u64) = (5373885092177031740, 1);
+
+    fn table(rows: usize) -> Table {
+        let cfg = SyntheticConfig {
+            n_features: 12,
+            biased_fraction: 0.25,
+            predictive_fraction: 0.25,
+            ..Default::default()
+        };
+        let mut rng = StdRng::seed_from_u64(2024);
+        let inst = synthetic_instance(&mut rng, &cfg);
+        let scm = synthetic_scm(&mut rng, &inst, 1.5);
+        sample_table(&scm, &inst.roles, rows, &mut rng)
+    }
+
+    fn auto_cfg(rows: usize) -> SelectConfig {
+        SelectConfig {
+            max_group: Some(SelectConfig::auto_max_group(rows)),
+            ..Default::default()
+        }
+    }
+
+    fn assert_pin<T: CiTest>(session: &CiSession<T>, sel: Selection, want: Pin, label: &str) {
+        let sel = sel.normalized();
+        let got = (
+            session.outcomes_fingerprint(),
+            sel.c1.as_slice(),
+            sel.c2.as_slice(),
+            sel.rejected.as_slice(),
+            sel.tests_used,
+        );
+        assert_eq!(got, want, "{label}");
+    }
+
+    /// Run `make`'s tester through the sequential path and the Z-grouped
+    /// scheduler at workers 1/2/4/8; every run must hit `want`.
+    fn assert_pinned<T: CiTestBatch>(make: impl Fn() -> T, want: Pin, label: &str) {
+        let t = table(ROWS);
+        let problem = Problem::from_table(&t);
+        let cfg = auto_cfg(ROWS);
+        let mut session = CiSession::new(make());
+        let sel = grpsel_in(&mut session, &problem, &cfg, None);
+        assert_pin(&session, sel, want, &format!("{label}: grpsel_in"));
+        for workers in [1usize, 2, 4, 8] {
+            let mut session = CiSession::new(make());
+            let sel = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
+            let at = format!("{label}: grpsel_batched_in workers {workers}");
+            assert_pin(&session, sel, want, &at);
+        }
+    }
+
+    #[test]
+    fn gtest_and_fisherz_pinned() {
+        let t = table(ROWS);
+        assert_pinned(|| GTest::new(&t, 0.01), GTEST, "g-test");
+        assert_pinned(|| FisherZ::new(&t, 0.01), FISHERZ, "fisher-z");
+    }
+
+    #[test]
+    fn perm_cmi_and_rcit_pinned() {
+        let t = table(ROWS);
+        assert_pinned(
+            || PermutationCmi::new(&t, 0.05, 19, 7),
+            PERM_CMI,
+            "perm-cmi",
+        );
+        assert_pinned(|| Rcit::with_alpha(&t, 0.01, 5), RCIT, "rcit");
+    }
+
+    #[test]
+    fn oracle_pinned() {
+        let cfg = SyntheticConfig {
+            n_features: 64,
+            biased_fraction: 0.1,
+            ..Default::default()
+        };
+        let inst = synthetic_instance(&mut StdRng::seed_from_u64(77), &cfg);
+        let problem = Problem::from_roles(&inst.roles);
+        let select = SelectConfig::default();
+        let mut session = CiSession::new(OracleCi::from_dag(inst.dag.clone()));
+        let seq = grpsel_in(&mut session, &problem, &select, None).normalized();
+        let got = (
+            seq.c1.as_slice(),
+            seq.c2.as_slice(),
+            seq.rejected.as_slice(),
+            seq.tests_used,
+        );
+        assert_eq!(got, ORACLE, "oracle: grpsel_in");
+        for workers in [1usize, 2, 4, 8] {
+            let mut session = CiSession::new(OracleCi::from_dag(inst.dag.clone()));
+            let sel =
+                grpsel_batched_in(&mut session, &problem, &select, None, workers).normalized();
+            let got = (
+                sel.c1.as_slice(),
+                sel.c2.as_slice(),
+                sel.rejected.as_slice(),
+                sel.tests_used,
+            );
+            assert_eq!(got, ORACLE, "oracle: workers {workers}");
+        }
+    }
+
+    /// A G-test child born warm through `extended_over` and re-selected
+    /// answers with the pinned fingerprint — the same one a cold session
+    /// over the concatenated table produces.
+    #[test]
+    fn append_child_pinned() {
+        let full = table(ROWS);
+        let split = 480;
+        let base = full.take_rows(&(0..split).collect::<Vec<_>>());
+        let batch = full.take_rows(&(split..ROWS).collect::<Vec<_>>());
+        let problem = Problem::from_table(&full);
+        let cfg = auto_cfg(ROWS);
+
+        let parent_enc = Arc::new(EncodedTable::new(&base));
+        let mut parent = CiSession::new(GTest::over(Arc::clone(&parent_enc), 0.01));
+        grpsel_batched_in(&mut parent, &problem, &cfg, None, 2);
+        let child_enc = Arc::new(parent_enc.extend(&batch).expect("same schema"));
+        let mut child = parent
+            .extended_over(child_enc)
+            .expect("G-test supports extension");
+        let sel = grpsel_batched_in(&mut child, &problem, &cfg, None, 2);
+
+        let concat = base.concat(&batch).expect("same schema");
+        let mut cold = CiSession::new(GTest::new(&concat, 0.01));
+        grpsel_batched_in(&mut cold, &problem, &cfg, None, 2);
+        assert_eq!(child.outcomes_fingerprint(), cold.outcomes_fingerprint());
+        assert_eq!(
+            (child.outcomes_fingerprint(), sel.tests_used),
+            APPEND_CHILD,
+            "append: warm child"
+        );
+    }
+}
