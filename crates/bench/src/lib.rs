@@ -11,10 +11,7 @@
 //! across repeats, so any repeat's counters are the counters.
 
 use fairsel_ci::{CiTest, CiTestBatch, FisherZ, GTest, KernelMode, OracleCi};
-use fairsel_core::{
-    grpsel_batched_in, grpsel_in, grpsel_par_in, grpsel_ungrouped_in, seqsel_in, Problem,
-    SelectConfig,
-};
+use fairsel_core::{grpsel_batched_in, grpsel_in, seqsel_in, Problem, SelectConfig};
 use fairsel_datasets::sim::sample_table;
 use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
 use fairsel_engine::{default_workers, CiSession};
@@ -259,7 +256,7 @@ pub fn oracle_scaling(sizes: &[usize], workers: usize, repeats: usize) -> Vec<Be
         out.push(median_of_repeats(repeats, || {
             let mut session = CiSession::new(OracleCi::from_dag(inst.dag.clone()));
             measure(&scenario, &algo, n, &mut session, |s| {
-                grpsel_par_in(s, &problem, &select, None, workers)
+                grpsel_batched_in(s, &problem, &select, None, workers)
                     .selected()
                     .len()
             })
@@ -307,7 +304,7 @@ pub fn data_scaling(
     out.push(median_of_repeats(repeats, || {
         let mut session = CiSession::new(GTest::new(&table, 0.01));
         measure(&scenario, &algo, n_features, &mut session, |s| {
-            grpsel_par_in(s, &problem, &select, None, workers)
+            grpsel_batched_in(s, &problem, &select, None, workers)
                 .selected()
                 .len()
         })
@@ -316,14 +313,11 @@ pub fn data_scaling(
 }
 
 /// The batch-execution story: GrpSel with the G-test (and Fisher-z)
-/// through four execution strategies on the same instance and seed —
+/// through three execution strategies on the same instance and seed —
 ///
 /// * `grpsel-nocache`: the per-query baseline, every query re-deriving
 ///   its joint encodings (memoization disabled — the pre-`EncodedTable`
 ///   data path);
-/// * `grpsel-batched`: the pre-grouping batched scheduler (PR 2/3):
-///   frontiers through `eval_batch` over the shared encoding caches,
-///   serially, with no conditioning-set partitioning;
 /// * `grpsel-batched-parN`: the **Z-grouped scheduler** — frontiers
 ///   partitioned by canonical conditioning set, one scaffold per distinct
 ///   `Z` (`eval_z_group`), group chunks stolen from the persistent worker
@@ -333,8 +327,9 @@ pub fn data_scaling(
 ///   `issued + speculative_hits` equals the non-speculative `issued`
 ///   (conservation, enforced by [`validate_bench_json`]).
 ///
-/// Selections are byte-identical across all four (property-tested in
-/// `fairsel-tests`); the rows differ only in wall time and counters.
+/// Selections are byte-identical across all three (property-tested and
+/// golden-pinned in `fairsel-tests`); the rows differ only in wall time
+/// and counters.
 pub fn data_tester_modes(
     n_features: usize,
     rows: usize,
@@ -539,9 +534,9 @@ fn encoded(table: &Table, cached: bool) -> Arc<EncodedTable> {
     })
 }
 
-/// Run one scenario's four execution modes (per-query uncached baseline,
-/// legacy ungrouped batched, Z-grouped + worker pool, Z-grouped +
-/// speculation) for any batch-aware tester.
+/// Run one scenario's three execution modes (per-query uncached
+/// baseline, Z-grouped + worker pool, Z-grouped + speculation) for any
+/// batch-aware tester.
 #[allow(clippy::too_many_arguments)]
 fn modes_for<T, F>(
     out: &mut Vec<BenchResult>,
@@ -565,16 +560,6 @@ fn modes_for<T, F>(
             let selected = grpsel_in(s, problem, select, None).selected().len();
             s.refresh_encode_stats();
             selected
-        })
-    }));
-
-    // Legacy batched scheduler: shared encoding caches, no Z-grouping.
-    out.push(median_of_repeats(repeats, || {
-        let mut session = CiSession::new(mk(true));
-        measure(scenario, "grpsel-batched", n_features, &mut session, |s| {
-            grpsel_ungrouped_in(s, problem, select, None, 1)
-                .selected()
-                .len()
         })
     }));
 
@@ -1377,8 +1362,12 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
             .find(|r| r.starts_with(scenario_prefix) && r.contains(&needle))
     };
     for scenario in ["gtest-batch", "fisherz-batch"] {
-        let plain = find_run(scenario, "grpsel-batched")
-            .ok_or_else(|| format!("{scenario}: no grpsel-batched run"))?;
+        // The non-speculative twin is the Z-grouped row at whatever
+        // worker count the run used (`grpsel-batched-par{N}`).
+        let plain = runs
+            .iter()
+            .find(|r| r.starts_with(scenario) && r.contains("\"algo\":\"grpsel-batched-par"))
+            .ok_or_else(|| format!("{scenario}: no grpsel-batched-par run"))?;
         let spec = find_run(scenario, "grpsel-spec")
             .ok_or_else(|| format!("{scenario}: no grpsel-spec run"))?;
         let plain_issued = run_field(plain, "issued").ok_or("unreadable issued")?;
@@ -1404,10 +1393,10 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
         .any(|chunk| {
             // Run objects are flat: the first '}' closes this run.
             let run = chunk.split('}').next().unwrap_or("");
-            run.contains("\"algo\":\"grpsel-batched\"") && !run.contains("\"encode_hits\":0,")
+            run.contains("\"algo\":\"grpsel-batched-par") && !run.contains("\"encode_hits\":0,")
         });
     if !hit {
-        return Err("no gtest-batch grpsel-batched run with encode_hits > 0".into());
+        return Err("no gtest-batch grpsel-batched-par run with encode_hits > 0".into());
     }
     // The serving acceptance signal: a warm request against the session
     // service that issued zero new CI tests, hit the shared memo, and
@@ -1718,9 +1707,8 @@ mod tests {
                 .iter()
                 .filter(|r| r.scenario.starts_with(scenario))
                 .collect();
-            assert_eq!(rows.len(), 4, "{scenario}: four execution modes");
+            assert_eq!(rows.len(), 3, "{scenario}: three execution modes");
             let baseline = rows.iter().find(|r| r.algo == "grpsel-nocache").unwrap();
-            let batched = rows.iter().find(|r| r.algo == "grpsel-batched").unwrap();
             let grouped = rows
                 .iter()
                 .find(|r| r.algo == "grpsel-batched-par2")
@@ -1728,23 +1716,21 @@ mod tests {
             let spec = rows.iter().find(|r| r.algo == "grpsel-spec").unwrap();
             assert_eq!(baseline.encode_hits, 0, "uncached baseline never hits");
             assert!(
-                batched.encode_hits > 0,
-                "{scenario}: batched run must reuse encodings"
+                grouped.encode_hits > 0,
+                "{scenario}: grouped run must reuse encodings"
             );
             assert!(
-                batched.encode_misses < baseline.encode_misses,
+                grouped.encode_misses < baseline.encode_misses,
                 "{scenario}: cache must cut encoding work ({} !< {})",
-                batched.encode_misses,
+                grouped.encode_misses,
                 baseline.encode_misses
             );
-            assert!(grouped.encode_hits > 0, "{scenario}: grouped run hits too");
             // Same instance, same seed: every mode selects identically;
             // the non-speculative modes issue the same tests, and the
             // speculative mode conserves them.
             for r in &rows {
                 assert_eq!(r.selected, baseline.selected, "{}", r.algo);
             }
-            assert_eq!(batched.issued, baseline.issued);
             assert_eq!(grouped.issued, baseline.issued);
             assert!(spec.speculative_issued > 0, "{scenario}: must speculate");
             assert_eq!(
@@ -1881,9 +1867,9 @@ mod tests {
 
     fn valid_rows() -> Vec<String> {
         vec![
-            fake_run("gtest-batch/x", "grpsel-batched", 10, (0, 0), 5, 0),
+            fake_run("gtest-batch/x", "grpsel-batched-par4", 10, (0, 0), 5, 0),
             fake_run("gtest-batch/x", "grpsel-spec", 7, (5, 3), 5, 0),
-            fake_run("fisherz-batch/x", "grpsel-batched", 12, (0, 0), 5, 0),
+            fake_run("fisherz-batch/x", "grpsel-batched-par4", 12, (0, 0), 5, 0),
             fake_run("fisherz-batch/x", "grpsel-spec", 8, (6, 4), 5, 0),
             fake_run("serve/x", "serve-warm", 0, (0, 0), 5, 9000),
             fake_run("serve/concurrent/x", "serve-warm-fp", 0, (0, 0), 5, 300),
@@ -2243,11 +2229,11 @@ mod tests {
         assert!(validate_bench_json("{\"bench\":\"x\",\"runs\":[]}").is_err());
         // A runs array whose rows lack the encode counters.
         let legacy = "{\"bench\":\"fairsel-engine\",\"runs\":[{\"scenario\":\"gtest-batch/x\",\
-                      \"algo\":\"grpsel-batched\",\"issued\":3,\"wall_ms\":1.0}]}";
+                      \"algo\":\"grpsel-batched-par4\",\"issued\":3,\"wall_ms\":1.0}]}";
         assert!(validate_bench_json(legacy).is_err());
         // Encode counters present but never hit.
         let cold = "{\"bench\":\"fairsel-engine\",\"runs\":[{\"scenario\":\"gtest-batch/x\",\
-                    \"algo\":\"grpsel-batched\",\"issued\":3,\"encode_hits\":0,\
+                    \"algo\":\"grpsel-batched-par4\",\"issued\":3,\"encode_hits\":0,\
                     \"encode_misses\":9,\"wall_ms\":1.0}]}";
         assert!(validate_bench_json(cold).is_err());
     }

@@ -69,7 +69,7 @@ pub fn cmi_discrete(table: &Table, x: &[VarId], y: &[VarId], z: &[VarId]) -> f64
 /// evaluations of the same query — sequential, batched, across worker
 /// threads, in any order — consume identical randomness and return
 /// byte-identical outcomes. That is what makes this tester
-/// [`crate::CiTestShared`]/[`crate::CiTestBatch`]-capable despite being a
+/// [`crate::CiTestBatch`]-capable despite being a
 /// permutation test (the ROADMAP's "per-worker RNG streams keyed by
 /// canonical query").
 pub struct PermutationCmi {
@@ -417,7 +417,7 @@ fn shuffle_within_strata<T: Copy>(xperm: &mut [T], rows: &StratumRows, rng: &mut
 
 impl CiTest for PermutationCmi {
     fn ci(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        crate::CiTestShared::ci_shared(self, x, y, z)
+        crate::CiTestBatch::ci_shared(self, x, y, z)
     }
 
     fn n_vars(&self) -> usize {
@@ -429,7 +429,7 @@ impl CiTest for PermutationCmi {
     }
 }
 
-impl crate::CiTestShared for PermutationCmi {
+impl crate::CiTestBatch for PermutationCmi {
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
         if x.is_empty() || y.is_empty() {
             return CiOutcome::decided(true);
@@ -456,9 +456,7 @@ impl crate::CiTestShared for PermutationCmi {
         let scaffold = self.z_scaffold(&zkey, &ze);
         self.eval_prepared(x, y, &zkey, &ze, &scaffold.0, &scaffold.1)
     }
-}
 
-impl crate::CiTestBatch for PermutationCmi {
     /// Z-grouped evaluation: one stratification (and one row-list layout)
     /// for the whole group, shared by every query's `B + 1` statistic
     /// computations. Byte-identical to the per-query path, which runs the
@@ -688,7 +686,7 @@ mod tests {
 
     #[test]
     fn kernel_modes_agree_bit_for_bit() {
-        use crate::CiTestShared;
+        use crate::CiTestBatch;
         let t = xor_table(800);
         let narrow = PermutationCmi::new(&t, 0.05, 49, 7);
         let reference =
@@ -713,7 +711,6 @@ mod tests {
             );
             assert_eq!(a.independent, b.independent);
         }
-        use crate::CiTestBatch;
         assert!(narrow.encode_cache_stats().dense_count_cells > 0);
         assert_eq!(reference.encode_cache_stats().dense_count_cells, 0);
     }
@@ -723,7 +720,7 @@ mod tests {
     /// the concatenated table, with the scaffold ledger conserved.
     #[test]
     fn extended_tester_matches_cold_and_conserves_scaffolds() {
-        use crate::{CiTestBatch, CiTestShared};
+        use crate::CiTestBatch;
         let parent_t = xor_table(700);
         let batch = xor_table(300);
         let parent = PermutationCmi::new(&parent_t, 0.05, 29, 7);

@@ -242,7 +242,7 @@ impl FisherZ {
 
 impl CiTest for FisherZ {
     fn ci(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        crate::CiTestShared::ci_shared(self, x, y, z)
+        crate::CiTestBatch::ci_shared(self, x, y, z)
     }
 
     fn n_vars(&self) -> usize {
@@ -254,7 +254,7 @@ impl CiTest for FisherZ {
     }
 }
 
-impl crate::CiTestShared for FisherZ {
+impl crate::CiTestBatch for FisherZ {
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
         if x.is_empty() || y.is_empty() {
             return CiOutcome::decided(true);
@@ -284,9 +284,7 @@ impl crate::CiTestShared for FisherZ {
             statistic: max_stat,
         }
     }
-}
 
-impl crate::CiTestBatch for FisherZ {
     /// Z-grouped evaluation: prefill the design/residual caches with one
     /// blocked ridge solve for the whole group, then answer each query
     /// through the ordinary per-query path (which now only reads caches).
@@ -299,7 +297,7 @@ impl crate::CiTestBatch for FisherZ {
         }
         queries
             .iter()
-            .map(|q| crate::CiTestShared::ci_shared(self, q.x, q.y, q.z))
+            .map(|q| crate::CiTestBatch::ci_shared(self, q.x, q.y, q.z))
             .collect()
     }
 
@@ -417,7 +415,7 @@ mod tests {
     /// answers; the scaffold ledger stays conserved.
     #[test]
     fn extended_tester_matches_cold_and_conserves_scaffolds() {
-        use crate::{CiTestBatch, CiTestShared};
+        use crate::CiTestBatch;
         let parent_t = fork_table(900, 11);
         let batch = fork_table(300, 12);
         let parent = FisherZ::new(&parent_t, 0.01);

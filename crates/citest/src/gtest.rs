@@ -250,7 +250,7 @@ impl GTest {
 
 impl CiTest for GTest {
     fn ci(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        crate::CiTestShared::ci_shared(self, x, y, z)
+        crate::CiTestBatch::ci_shared(self, x, y, z)
     }
 
     fn n_vars(&self) -> usize {
@@ -262,7 +262,7 @@ impl CiTest for GTest {
     }
 }
 
-impl crate::CiTestShared for GTest {
+impl crate::CiTestBatch for GTest {
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
         if x.is_empty() || y.is_empty() {
             return CiOutcome::decided(true);
@@ -274,9 +274,7 @@ impl crate::CiTestShared for GTest {
             statistic: g,
         }
     }
-}
 
-impl crate::CiTestBatch for GTest {
     /// Z-grouped evaluation: one stratification scaffold per group, every
     /// pair counted against it. Byte-identical to [`GTest::g_statistic`]
     /// (same strata order, same cell order, same float accumulation — see

@@ -20,21 +20,21 @@
 //!   to model the spurious correlations that §5.3 attributes to running
 //!   too many tests.
 //!
-//! All testers implement [`CiTest`]; [`CountingCi`] wraps any of them to
-//! produce the test counts reported in Table 2 and Figures 4-5.
+//! All testers implement [`CiTest`] (sequential evaluation through
+//! `&mut self`); [`CountingCi`] wraps any of them to produce the test
+//! counts reported in Table 2 and Figures 4-5.
 //!
-//! The data-driven testers ([`GTest`], [`PermutationCmi`], [`FisherZ`],
-//! [`Rcit`]) additionally implement [`CiTestBatch`]: they evaluate whole
-//! *batches* of queries through a shared [`fairsel_table::EncodedTable`]
-//! so one columnar encoding pass (or one residualization, for Fisher-z)
-//! is amortized across every query of a GrpSel frontier level — and, via
-//! the Z-grouped entry point ([`CiTestBatch::eval_z_group`]), amortize
-//! the whole per-conditioning-set scaffold: one stratification for the
-//! discrete testers, one blocked ridge factorization for Fisher-z, one
-//! standardized conditioning block for RCIT, all byte-identical to
-//! per-query evaluation. The randomized testers derive a private RNG
-//! stream per canonical query ([`derived_query_seed`]), which is what
-//! makes them shareable at all.
+//! Every tester except [`NoisyOracleCi`] also implements [`CiTestBatch`]:
+//! it answers through a shared reference ([`CiTestBatch::ci_shared`]), so
+//! the engine can fan a frontier across worker threads, and through the
+//! Z-grouped entry point ([`CiTestBatch::eval_z_group`]) it builds the
+//! per-conditioning-set scaffold once per group — one stratification for
+//! the discrete testers, one blocked ridge factorization for Fisher-z,
+//! one standardized conditioning block for RCIT — over a shared
+//! [`fairsel_table::EncodedTable`], all byte-identical to per-query
+//! evaluation. The randomized testers derive a private RNG stream per
+//! canonical query ([`derived_query_seed`]), which is what makes them
+//! shareable at all.
 
 pub mod cmi;
 mod contingency;
@@ -163,34 +163,10 @@ pub trait CiTest {
     }
 }
 
-/// CI testers that can also answer queries through a *shared* reference.
-///
-/// This is the capability the execution engine's parallel batch scheduler
-/// needs: a batch of independent queries is fanned out across worker
-/// threads that all borrow the tester immutably. Testers that are pure
-/// functions of their inputs (d-separation oracle, G-test, Fisher-z)
-/// implement it directly; randomized testers ([`PermutationCmi`],
-/// [`Rcit`]) qualify by deriving a private RNG stream per query
-/// ([`derived_query_seed`]) instead of mutating a shared stream. Only
-/// [`NoisyOracleCi`] — whose per-call flips are *deliberately*
-/// order-dependent — falls back to the engine's sequential path.
-///
-/// Contract: `ci_shared` must return exactly what [`CiTest::ci`] would.
-pub trait CiTestShared: CiTest + Sync {
-    /// Test `X ⊥ Y | Z` without mutating the tester.
-    fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome;
-}
-
-impl<T: CiTestShared + ?Sized> CiTestShared for &mut T {
-    fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        (**self).ci_shared(x, y, z)
-    }
-}
-
-/// A shared reference to a shared-capable tester is itself a tester:
-/// `ci` routes through `ci_shared` (they agree by the [`CiTestShared`]
+/// A shared reference to a batch-capable tester is itself a tester:
+/// `ci` routes through `ci_shared` (they agree by the [`CiTestBatch`]
 /// contract), so sessions can borrow testers immutably.
-impl<T: CiTestShared + ?Sized> CiTest for &T {
+impl<T: CiTestBatch + ?Sized> CiTest for &T {
     fn ci(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
         (**self).ci_shared(x, y, z)
     }
@@ -199,12 +175,6 @@ impl<T: CiTestShared + ?Sized> CiTest for &T {
     }
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-}
-
-impl<T: CiTestShared + ?Sized> CiTestShared for &T {
-    fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        (**self).ci_shared(x, y, z)
     }
 }
 
@@ -258,7 +228,7 @@ pub fn canonical_set(z: &[VarId]) -> Vec<VarId> {
 /// two evaluations of the same query — sequential, batched, across worker
 /// threads, in any order — consume identical randomness and return
 /// byte-identical outcomes. That is what makes a randomized tester
-/// [`CiTestShared`]/[`CiTestBatch`]-capable.
+/// [`CiTestBatch`]-capable.
 ///
 /// FNV-1a over the canonical sides with separators, then a splitmix-style
 /// finalizer; stable across platforms and runs.
@@ -283,54 +253,48 @@ pub fn derived_query_seed(base: u64, x: &[VarId], y: &[VarId], z: &[VarId]) -> u
     h ^ (h >> 31)
 }
 
-/// CI testers that can evaluate a whole *batch* of queries at once.
+/// CI testers that answer queries through a *shared* reference and can
+/// evaluate whole batches of them at once.
 ///
-/// This is the capability GrpSel's level-synchronous frontiers want: all
-/// queries of a level share structure (one conditioning set, nested group
-/// sides), so a batch-aware tester amortizes its per-variable-set work —
-/// joint encodings, residualizations — across the batch instead of
-/// re-deriving it per query.
+/// This is the capability the engine's Z-grouped scheduler needs: a
+/// frontier of independent queries is partitioned by conditioning set and
+/// fanned out across worker threads that all borrow the tester
+/// immutably. Testers that are pure functions of their inputs
+/// (d-separation oracle, G-test, Fisher-z) implement it directly;
+/// randomized testers ([`PermutationCmi`], [`Rcit`]) qualify by deriving a
+/// private RNG stream per query ([`derived_query_seed`]) instead of
+/// mutating a shared stream. Only [`NoisyOracleCi`] — whose per-call flips
+/// are *deliberately* order-dependent — stays a plain [`CiTest`] and runs
+/// on the engine's sequential path.
 ///
 /// # Contract
 ///
-/// * `eval_batch(qs)[i]` must be **byte-identical** to
-///   `ci_shared(qs[i].x, qs[i].y, qs[i].z)` — same `independent` flag,
-///   same `p_value` and `statistic` bits. The engine relies on this to
-///   route frontiers through whichever path is fastest without changing
-///   selections (see the `batch_equivalence` property tests in
-///   `fairsel-tests`).
-/// * Results must not depend on the order of queries within the batch, on
-///   how a batch is split across calls, or on how many worker threads
-///   evaluate chunks concurrently (implementations share caches behind
-///   locks; cached values must equal freshly computed ones).
+/// * `ci_shared` must return exactly what [`CiTest::ci`] would — same
+///   `independent` flag, same `p_value` and `statistic` bits.
+/// * Results must not depend on query order, on how a batch is split
+///   across calls, or on how many worker threads evaluate chunks
+///   concurrently (implementations share caches behind locks; cached
+///   values must equal freshly computed ones).
 /// * `encode_cache_stats` reports cumulative shared-cache telemetry
 ///   (encoding/residual cache hits and misses) for the engine's
 ///   `encode_cache_*` counters; testers without a cache keep the default.
 ///
-/// The default `eval_batch` is the per-query fallback: correct for every
-/// [`CiTestShared`] tester, it simply forgoes batch-level amortization.
-///
 /// # Z-grouped evaluation
 ///
-/// `eval_z_group` is the *grouped* entry point the engine's Z-grouped
-/// scheduler drives: the caller partitions a batch by canonical
-/// conditioning set and hands each group over with its shared `z`, so the
-/// tester can build the per-`Z` scaffold — stratification, design-matrix
-/// factorization, standardized conditioning block — **once** and evaluate
-/// every `(x, y)` pair of the group against it. The same byte-identity
-/// contract applies: `eval_z_group(z, qs)[i]` must equal
-/// `ci_shared(qs[i].x, qs[i].y, qs[i].z)` bit for bit, and callers must be
-/// free to split one group across concurrent calls (a giant stratum is
-/// chunked so it cannot serialize a frontier level). The default is the
-/// per-query fallback.
-pub trait CiTestBatch: CiTestShared {
-    /// Evaluate a batch of independent queries, results in input order.
-    fn eval_batch(&self, queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        queries
-            .iter()
-            .map(|q| self.ci_shared(q.x, q.y, q.z))
-            .collect()
-    }
+/// `eval_z_group` is the entry point the engine's Z-grouped scheduler
+/// drives: the caller partitions a batch by canonical conditioning set and
+/// hands each group over with its shared `z`, so the tester can build the
+/// per-`Z` scaffold — stratification, design-matrix factorization,
+/// standardized conditioning block — **once** and evaluate every `(x, y)`
+/// pair of the group against it. `eval_z_group(z, qs)[i]` must equal
+/// `ci_shared(qs[i].x, qs[i].y, qs[i].z)` bit for bit (see the
+/// `grouped_equivalence` property tests and golden pins in
+/// `fairsel-tests`), and callers must be free to split one group across
+/// concurrent calls (a giant stratum is chunked so it cannot serialize a
+/// frontier level). The default is the per-query fallback.
+pub trait CiTestBatch: CiTest + Sync {
+    /// Test `X ⊥ Y | Z` without mutating the tester.
+    fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome;
 
     /// Evaluate queries that all share the canonical conditioning set `z`
     /// (sorted, deduplicated; each `queries[i].z` canonicalizes to it).
@@ -395,8 +359,8 @@ pub trait CiTestBatch: CiTestShared {
 }
 
 impl<T: CiTestBatch + ?Sized> CiTestBatch for &mut T {
-    fn eval_batch(&self, queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        (**self).eval_batch(queries)
+    fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
+        (**self).ci_shared(x, y, z)
     }
     fn eval_z_group(&self, z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
         (**self).eval_z_group(z, queries)
@@ -416,8 +380,8 @@ impl<T: CiTestBatch + ?Sized> CiTestBatch for &mut T {
 }
 
 impl<T: CiTestBatch + ?Sized> CiTestBatch for &T {
-    fn eval_batch(&self, queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        (**self).eval_batch(queries)
+    fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
+        (**self).ci_shared(x, y, z)
     }
     fn eval_z_group(&self, z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
         (**self).eval_z_group(z, queries)
@@ -462,23 +426,14 @@ impl<T: CiTest + ?Sized> CiTest for Box<T> {
     }
 }
 
-/// Boxed shared testers stay shared — what lets the session service hold
-/// heterogeneous testers as `Box<dyn CiTestBatch + Send + Sync>`.
-impl<T: CiTestShared + ?Sized> CiTestShared for Box<T>
+/// Boxed batch testers stay batch-capable — what lets the session service
+/// hold heterogeneous testers as `Box<dyn CiTestBatch + Send + Sync>`.
+impl<T: CiTestBatch + ?Sized> CiTestBatch for Box<T>
 where
     Box<T>: Sync,
 {
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
         (**self).ci_shared(x, y, z)
-    }
-}
-
-impl<T: CiTestBatch + ?Sized> CiTestBatch for Box<T>
-where
-    Box<T>: Sync,
-{
-    fn eval_batch(&self, queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        (**self).eval_batch(queries)
     }
     fn eval_z_group(&self, z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
         (**self).eval_z_group(z, queries)

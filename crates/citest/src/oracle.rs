@@ -67,17 +67,15 @@ impl CiTest for OracleCi {
     }
 }
 
-impl crate::CiTestShared for OracleCi {
+/// The oracle has no per-group work to amortize, but implementing the
+/// batch trait (per-query `eval_z_group` default) lets it drop into every
+/// batched entry point — e.g. `fairsel select --dag`, which routes the oracle through
+/// the same pipeline as the data testers.
+impl crate::CiTestBatch for OracleCi {
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
         self.ci_ref(x, y, z)
     }
 }
-
-/// The oracle has no per-batch work to amortize, but implementing the
-/// batch trait (per-query default) lets it drop into every batched entry
-/// point — e.g. `fairsel select --dag`, which routes the oracle through
-/// the same pipeline as the data testers.
-impl crate::CiTestBatch for OracleCi {}
 
 /// Oracle with per-test error: each answer is flipped independently with
 /// probability `flip_prob`. With `q` tests, the expected number of

@@ -25,7 +25,7 @@
 //! one mutable stream, so any two evaluations of the same query —
 //! sequential, batched, across worker threads, in any order — consume
 //! identical randomness and return byte-identical outcomes. That makes
-//! RCIT [`crate::CiTestShared`]/[`crate::CiTestBatch`]-capable, and its
+//! RCIT [`crate::CiTestBatch`]-capable, and its
 //! column extraction reads through the shared [`EncodedTable`] layer so
 //! repeated columns are materialized once per session.
 
@@ -318,7 +318,7 @@ impl Rcit {
 
 impl CiTest for Rcit {
     fn ci(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        crate::CiTestShared::ci_shared(self, x, y, z)
+        crate::CiTestBatch::ci_shared(self, x, y, z)
     }
 
     fn n_vars(&self) -> usize {
@@ -330,7 +330,11 @@ impl CiTest for Rcit {
     }
 }
 
-impl crate::CiTestShared for Rcit {
+/// Each query derives its own RNG stream, so there is no cross-query
+/// randomness to amortize; the Z-grouped entry point shares the query-*independent* conditioning
+/// work — the standardized `Z` matrix and its median-heuristic bandwidth,
+/// `O(n·|Z|)` per query in the Figure 3(b) regime — across the group.
+impl crate::CiTestBatch for Rcit {
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
         if x.is_empty() || y.is_empty() {
             return CiOutcome::decided(true);
@@ -342,14 +346,7 @@ impl crate::CiTestShared for Rcit {
             statistic: stat,
         }
     }
-}
 
-/// Batch evaluation uses the per-query default (each query re-derives its
-/// own RNG stream, so there is no cross-query randomness to amortize);
-/// the Z-grouped entry point shares the query-*independent* conditioning
-/// work — the standardized `Z` matrix and its median-heuristic bandwidth,
-/// `O(n·|Z|)` per query in the Figure 3(b) regime — across the group.
-impl crate::CiTestBatch for Rcit {
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zs = crate::canonical_set(z);
         let n = self.table().n_rows();
@@ -570,7 +567,7 @@ mod tests {
     /// on the concatenated table, and its ledger stays conserved.
     #[test]
     fn extended_tester_matches_cold_and_conserves_scaffolds() {
-        use crate::{CiQueryRef, CiTestBatch, CiTestShared};
+        use crate::{CiQueryRef, CiTestBatch};
         let parent_t = gauss_table(
             &[("x", "m", 1.0), ("m", "y", 1.0)],
             &["x", "m", "y"],

@@ -23,7 +23,7 @@
 //! conditioning on `A ∪ C₁`, which is what we do.
 
 use crate::problem::{Problem, SelectConfig, Selection};
-use fairsel_ci::{CiOutcome, CiTest, CiTestBatch, CiTestShared, VarId};
+use fairsel_ci::{CiOutcome, CiTest, CiTestBatch, VarId};
 use fairsel_engine::{CiQuery, CiSession, HalvingPlanner};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -59,20 +59,6 @@ pub fn grpsel_seeded<T: CiTest + ?Sized>(
     grpsel_in(&mut session, problem, cfg, Some(seed))
 }
 
-/// GrpSel whose frontier batches fan out across `workers` threads — the
-/// tester must support shared-reference evaluation ([`CiTestShared`]).
-/// Results are byte-identical to [`grpsel`] / [`grpsel_seeded`].
-pub fn grpsel_par<T: CiTestShared + ?Sized>(
-    tester: &mut T,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: Option<u64>,
-    workers: usize,
-) -> Selection {
-    let mut session = CiSession::new(tester);
-    grpsel_par_in(&mut session, problem, cfg, seed, workers)
-}
-
 /// Sequential GrpSel inside a caller-provided session.
 pub fn grpsel_in<T: CiTest>(
     session: &mut CiSession<T>,
@@ -90,24 +76,6 @@ pub fn grpsel_in<T: CiTest>(
     )
 }
 
-/// Parallel GrpSel inside a caller-provided session.
-pub fn grpsel_par_in<T: CiTestShared>(
-    session: &mut CiSession<T>,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: Option<u64>,
-    workers: usize,
-) -> Selection {
-    run(
-        problem,
-        cfg,
-        seed,
-        workers,
-        &mut |s: &mut CiSession<T>, qs, _spec| s.run_batch_parallel(qs, workers),
-        session,
-    )
-}
-
 /// GrpSel on the engine's **Z-grouped scheduler**: every frontier level's
 /// unique queries are partitioned by canonical conditioning set and
 /// evaluated through the tester's
@@ -116,9 +84,9 @@ pub fn grpsel_par_in<T: CiTestShared>(
 /// with `workers > 1` the groups become steal-able chunks on the
 /// session's persistent worker pool, and with
 /// [`SelectConfig::speculate`] the next level's predictable queries ride
-/// along speculatively. Outcomes are byte-identical to [`grpsel`] /
-/// [`grpsel_par`] at every worker count and speculation setting; only the
-/// execution strategy changes.
+/// along speculatively. Outcomes are byte-identical to [`grpsel`] at
+/// every worker count and speculation setting; only the execution
+/// strategy changes.
 pub fn grpsel_batched<T: CiTestBatch + ?Sized>(
     tester: &mut T,
     problem: &Problem,
@@ -148,40 +116,9 @@ pub fn grpsel_batched_in<T: CiTestBatch>(
     )
 }
 
-/// The pre-grouping batched scheduler: whole frontiers through
-/// [`fairsel_ci::CiTestBatch::eval_batch`] (per-query evaluation over the
-/// shared encoding caches, contiguous chunks when parallel), with no
-/// conditioning-set partitioning and no speculation. Kept as the
-/// benchmark baseline the Z-grouped scheduler is measured against
-/// (`grpsel-batched` rows in `BENCH_engine.json`); production callers use
-/// [`grpsel_batched_in`].
-pub fn grpsel_ungrouped_in<T: CiTestBatch>(
-    session: &mut CiSession<T>,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: Option<u64>,
-    workers: usize,
-) -> Selection {
-    run(
-        problem,
-        cfg,
-        seed,
-        workers,
-        &mut |s: &mut CiSession<T>, qs, _spec| {
-            if workers > 1 {
-                s.run_batch_batched_parallel(qs, workers)
-            } else {
-                s.run_batch_batched(qs)
-            }
-        },
-        session,
-    )
-}
-
 /// How a batch of frontier queries is executed against the session —
-/// sequentially, across the worker pool, or Z-grouped. The second slice
-/// is speculative ride-along work; executors without speculation support
-/// ignore it.
+/// sequentially or Z-grouped. The second slice is speculative ride-along
+/// work; the sequential executor ignores it.
 type BatchExec<'a, T> =
     &'a mut dyn FnMut(&mut CiSession<T>, &[CiQuery], &[CiQuery]) -> Vec<CiOutcome>;
 
@@ -556,7 +493,8 @@ mod tests {
         }
     }
 
-    /// The parallel path must be byte-identical to the sequential one.
+    /// The Z-grouped scheduler on the worker pool must be byte-identical
+    /// to the sequential path.
     #[test]
     fn parallel_matches_sequential_grpsel() {
         for seed in 0..8u64 {
@@ -575,7 +513,7 @@ mod tests {
             let seq = grpsel(&mut OracleCi::from_dag(dag.clone()), &problem, &cfg);
             for workers in [2usize, 4] {
                 let mut oracle = OracleCi::from_dag(dag.clone());
-                let par = grpsel_par(&mut oracle, &problem, &cfg, None, workers);
+                let par = grpsel_batched(&mut oracle, &problem, &cfg, None, workers);
                 assert_eq!(seq.c1, par.c1, "seed {seed}, workers {workers}");
                 assert_eq!(seq.c2, par.c2);
                 assert_eq!(seq.rejected, par.rejected);

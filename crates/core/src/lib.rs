@@ -21,8 +21,12 @@
 //!
 //! Both selectors route every query through the execution engine
 //! ([`fairsel_engine::CiSession`]): canonicalized keys, a memo cache, and
-//! — for GrpSel — level-synchronous frontier batches a worker pool can
-//! evaluate in parallel ([`grpsel::grpsel_par`]).
+//! — for GrpSel — level-synchronous frontier batches. Each selector has
+//! a sequential entry point for any [`fairsel_ci::CiTest`]
+//! ([`grpsel::grpsel_in`], [`seqsel::seqsel_in`]) and GrpSel has one for
+//! shareable [`fairsel_ci::CiTestBatch`] testers
+//! ([`grpsel::grpsel_batched_in`]), which runs the engine's Z-grouped
+//! scheduler on a worker pool.
 //!
 //! Supporting modules:
 //! * [`oracle`] — the Theorem 1 ground-truth classification computed from
@@ -45,14 +49,11 @@ pub use baselines::{
     render_methods_report, run_all_methods, run_all_methods_in, run_method, Method, MethodOutput,
     TesterSpec,
 };
-pub use grpsel::{
-    grpsel, grpsel_batched, grpsel_batched_in, grpsel_in, grpsel_par, grpsel_par_in, grpsel_seeded,
-    grpsel_ungrouped_in,
-};
+pub use grpsel::{grpsel, grpsel_batched, grpsel_batched_in, grpsel_in, grpsel_seeded};
 pub use oracle::{theorem1_classification, GroundTruth};
 pub use pipeline::{
     render_pipeline_report, run_pipeline, run_pipeline_batched, run_pipeline_batched_in,
-    run_pipeline_par, ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
+    ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
 };
 pub use problem::{Problem, SelectConfig, Selection};
 pub use seqsel::{seqsel, seqsel_in};

@@ -6,10 +6,10 @@
 //! in [`PipelineResult::engine`] — the numbers the paper reports alongside
 //! accuracy and odds difference.
 
-use crate::grpsel::{grpsel_batched_in, grpsel_in, grpsel_par_in};
+use crate::grpsel::{grpsel_batched_in, grpsel_in};
 use crate::problem::{Problem, SelectConfig, Selection};
 use crate::seqsel::seqsel_in;
-use fairsel_ci::{CiTest, CiTestBatch, CiTestShared};
+use fairsel_ci::{CiTest, CiTestBatch};
 use fairsel_engine::{CiSession, EngineStats};
 use fairsel_ml::{
     AdaBoost, Classifier, DecisionTree, FairnessReport, Featurizer, LogisticRegression, NaiveBayes,
@@ -58,8 +58,9 @@ pub struct PipelineConfig {
     pub select: SelectConfig,
     pub algo: SelectionAlgo,
     pub classifier: ClassifierKind,
-    /// Worker threads for engine batches (`<= 1` = sequential). Only the
-    /// shared-tester entry point [`run_pipeline_par`] can exploit more.
+    /// Worker threads for engine batches (`<= 1` = inline). Only the
+    /// batch-tester entry points [`run_pipeline_batched`] /
+    /// [`run_pipeline_batched_in`] can exploit more.
     pub workers: usize,
     /// Seed for stochastic models (random forest).
     pub model_seed: u64,
@@ -108,36 +109,12 @@ pub fn run_pipeline<T: CiTest>(
     train_and_score(train, test, &problem, selection, engine, cfg)
 }
 
-/// Like [`run_pipeline`] but fanning engine batches across
-/// `cfg.workers` threads; requires a shared-capable tester.
-pub fn run_pipeline_par<T: CiTestShared>(
-    tester: T,
-    train: &Table,
-    test: &Table,
-    cfg: &PipelineConfig,
-) -> PipelineResult {
-    let problem = Problem::from_table(train);
-    let mut session = CiSession::new(tester);
-    let selection = match cfg.algo {
-        SelectionAlgo::SeqSel => seqsel_in(&mut session, &problem, &cfg.select),
-        SelectionAlgo::GrpSel { seed } => grpsel_par_in(
-            &mut session,
-            &problem,
-            &cfg.select,
-            seed,
-            cfg.workers.max(1),
-        ),
-    };
-    let engine = session.stats().clone();
-    train_and_score(train, test, &problem, selection, engine, cfg)
-}
-
-/// Like [`run_pipeline_par`] for batch-aware testers (`GTest`,
-/// `PermutationCmi`, `FisherZ`): GrpSel frontiers route through
-/// [`fairsel_ci::CiTestBatch::eval_batch`], so the whole selection shares
-/// one columnar encoding pass per variable set and the engine telemetry
-/// reports `encode_cache_*` counters. Selections are byte-identical to
-/// the per-query pipelines.
+/// Like [`run_pipeline`] for batch-aware testers (`GTest`,
+/// `PermutationCmi`, `FisherZ`, `Rcit`, `OracleCi`): GrpSel frontiers
+/// run on the engine's Z-grouped scheduler across `cfg.workers` threads,
+/// so the whole selection shares one scaffold per conditioning set and
+/// the engine telemetry reports `encode_cache_*` counters. Selections are
+/// byte-identical to the sequential pipeline.
 pub fn run_pipeline_batched<T: CiTestBatch>(
     tester: T,
     train: &Table,
@@ -382,7 +359,7 @@ mod tests {
         };
         let seq = run_pipeline(&mut GTest::new(&train, 0.01), &train, &test, &base);
         let par_cfg = PipelineConfig { workers: 4, ..base };
-        let par = run_pipeline_par(GTest::new(&train, 0.01), &train, &test, &par_cfg);
+        let par = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &par_cfg);
         assert_eq!(seq.model_cols, par.model_cols);
         assert_eq!(seq.report.accuracy, par.report.accuracy);
         assert_eq!(

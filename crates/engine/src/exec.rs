@@ -3,7 +3,7 @@
 
 use crate::key::{CiQuery, QueryKey};
 use crate::session::{BatchKind, CiSession};
-use fairsel_ci::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, CiTestShared, VarId};
+use fairsel_ci::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, VarId};
 use std::time::Instant;
 
 /// Worker count the parallel scheduler defaults to: one per available
@@ -120,80 +120,6 @@ impl<T: CiTest> CiSession<T> {
     }
 }
 
-impl<T: CiTestShared> CiSession<T> {
-    /// Evaluate a batch of independent queries across `workers` threads.
-    ///
-    /// The unique cache misses are split into contiguous chunks dispatched
-    /// on the session's persistent [`crate::pool::WorkerPool`]; each
-    /// worker evaluates through a shared reference
-    /// ([`CiTestShared::ci_shared`]), and results are reassembled by slot
-    /// index — so the output is byte-identical to [`CiSession::run_batch`]
-    /// regardless of thread scheduling. Small batches (or `workers <= 1`)
-    /// take the sequential path to avoid dispatch overhead.
-    pub fn run_batch_parallel(&mut self, queries: &[CiQuery], workers: usize) -> Vec<CiOutcome> {
-        let plan = plan(self, queries);
-        let n_miss = plan.miss_repr.len();
-        let workers = workers.min(n_miss);
-        if workers <= 1 {
-            // Evaluate the misses inline (identical to run_batch) but keep
-            // the plan we already computed.
-            // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-            let t0 = Instant::now();
-            let evaluated: Vec<CiOutcome> = plan
-                .miss_repr
-                .iter()
-                .map(|&i| {
-                    let q = &queries[i];
-                    self.tester_mut().ci(&q.x, &q.y, &q.z)
-                })
-                .collect();
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            return finish(
-                self,
-                queries,
-                plan,
-                evaluated,
-                wall_ms,
-                BatchKind::Sequential,
-            );
-        }
-
-        // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-        let t0 = Instant::now();
-        let _sp = fairsel_obs::span_kv("tester.eval", || {
-            vec![("kind", "parallel".into()), ("misses", n_miss.to_string())]
-        });
-        let repr: Vec<&CiQuery> = plan.miss_repr.iter().map(|&i| &queries[i]).collect();
-        let chunk = n_miss.div_ceil(workers);
-        let chunks: Vec<&[&CiQuery]> = repr.chunks(chunk).collect();
-        let mut outs: Vec<Option<Vec<CiOutcome>>> = vec![None; chunks.len()];
-        let (tester, pool) = self.exec_parts(workers);
-        pool.run_scoped(
-            outs.iter_mut()
-                .zip(&chunks)
-                .map(|(slot, qs)| {
-                    move || {
-                        let _sp = fairsel_obs::span_kv("pool.chunk", || {
-                            vec![("queries", qs.len().to_string())]
-                        });
-                        *slot = Some(
-                            qs.iter()
-                                .map(|q| tester.ci_shared(&q.x, &q.y, &q.z))
-                                .collect::<Vec<CiOutcome>>(),
-                        );
-                    }
-                })
-                .collect(),
-        );
-        let evaluated: Vec<CiOutcome> = outs
-            .into_iter()
-            .flat_map(|o| o.expect("pool task completed"))
-            .collect();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        finish(self, queries, plan, evaluated, wall_ms, BatchKind::Parallel)
-    }
-}
-
 /// Borrow the representative query of each unique miss as a
 /// [`CiQueryRef`] batch.
 fn miss_repr_refs<'q>(plan: &BatchPlan, queries: &'q [CiQuery]) -> Vec<CiQueryRef<'q>> {
@@ -211,99 +137,6 @@ fn miss_repr_refs<'q>(plan: &BatchPlan, queries: &'q [CiQuery]) -> Vec<CiQueryRe
 }
 
 impl<T: CiTestBatch> CiSession<T> {
-    /// Evaluate a batch through the tester's [`CiTestBatch::eval_batch`]:
-    /// cache planning and result assembly are identical to
-    /// [`CiSession::run_batch`], but the unique misses are handed to the
-    /// tester as *one* batch so it can amortize per-variable-set work
-    /// (columnar encodings, residualizations) across the whole frontier.
-    /// Outcomes are byte-identical to the per-query paths (the
-    /// `CiTestBatch` contract).
-    pub fn run_batch_batched(&mut self, queries: &[CiQuery]) -> Vec<CiOutcome> {
-        let plan = plan(self, queries);
-        self.eval_batched(queries, plan)
-    }
-
-    /// Parallel twin of [`CiSession::run_batch_batched`]: the unique
-    /// misses are split into contiguous chunks, one `eval_batch` call per
-    /// worker, dispatched on the persistent pool and reassembled by slot
-    /// index. The tester's shared caches make the encoding pass common to
-    /// all workers; results are byte-identical to every other execution
-    /// path regardless of worker count.
-    pub fn run_batch_batched_parallel(
-        &mut self,
-        queries: &[CiQuery],
-        workers: usize,
-    ) -> Vec<CiOutcome> {
-        let plan = plan(self, queries);
-        let n_miss = plan.miss_repr.len();
-        let workers = workers.min(n_miss);
-        if workers <= 1 {
-            return self.eval_batched(queries, plan);
-        }
-
-        // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-        let t0 = Instant::now();
-        let _sp = fairsel_obs::span_kv("tester.eval", || {
-            vec![
-                ("kind", "batched_parallel".into()),
-                ("misses", n_miss.to_string()),
-            ]
-        });
-        let repr = miss_repr_refs(&plan, queries);
-        let chunk = n_miss.div_ceil(workers);
-        let chunks: Vec<&[CiQueryRef<'_>]> = repr.chunks(chunk).collect();
-        let mut outs: Vec<Option<Vec<CiOutcome>>> = vec![None; chunks.len()];
-        let (tester, pool) = self.exec_parts(workers);
-        pool.run_scoped(
-            outs.iter_mut()
-                .zip(&chunks)
-                .map(|(slot, qs)| {
-                    move || {
-                        let _sp = fairsel_obs::span_kv("pool.chunk", || {
-                            vec![("queries", qs.len().to_string())]
-                        });
-                        *slot = Some(tester.eval_batch(qs));
-                    }
-                })
-                .collect(),
-        );
-        let evaluated: Vec<CiOutcome> = outs
-            .into_iter()
-            .flat_map(|o| o.expect("pool task completed"))
-            .collect();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let out = finish(
-            self,
-            queries,
-            plan,
-            evaluated,
-            wall_ms,
-            BatchKind::BatchedParallel,
-        );
-        self.refresh_encode_stats();
-        out
-    }
-
-    /// One `eval_batch` call over a planned batch's unique misses —
-    /// shared by the sequential batched path and the parallel path's
-    /// small-batch fallback.
-    fn eval_batched(&mut self, queries: &[CiQuery], plan: BatchPlan) -> Vec<CiOutcome> {
-        // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-        let t0 = Instant::now();
-        let _sp = fairsel_obs::span_kv("tester.eval", || {
-            vec![
-                ("kind", "batched".into()),
-                ("misses", plan.miss_repr.len().to_string()),
-            ]
-        });
-        let repr = miss_repr_refs(&plan, queries);
-        let evaluated = self.tester().eval_batch(&repr);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let out = finish(self, queries, plan, evaluated, wall_ms, BatchKind::Batched);
-        self.refresh_encode_stats();
-        out
-    }
-
     /// The Z-grouped scheduler — the production batch path.
     ///
     /// The unique cache misses are partitioned by *canonical conditioning
@@ -485,7 +318,7 @@ impl<T: CiTestBatch> CiSession<T> {
     }
 
     /// Copy the tester's cumulative encode-cache counters into the
-    /// session telemetry. Batched runs do this automatically; call it
+    /// session telemetry. Grouped runs do this automatically; call it
     /// after per-query routes (e.g. SeqSel's single-query path) so the
     /// `encode_cache_*` fields reflect the tester's real cache activity.
     pub fn refresh_encode_stats(&mut self) {
@@ -580,7 +413,7 @@ impl<T: CiTestBatch> CiSession<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairsel_ci::{CiTestShared, VarId};
+    use fairsel_ci::VarId;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Shared-capable tester: independent iff |x0 − y0| > 1. Counts calls
@@ -608,7 +441,7 @@ mod tests {
         }
     }
 
-    impl CiTestShared for GapCi {
+    impl CiTestBatch for GapCi {
         fn ci_shared(&self, x: &[VarId], y: &[VarId], _z: &[VarId]) -> CiOutcome {
             self.calls.fetch_add(1, Ordering::Relaxed);
             CiOutcome::decided(x[0].abs_diff(y[0]) > 1)
@@ -660,7 +493,7 @@ mod tests {
         let a = seq.run_batch(&qs);
         for workers in [2, 3, 8] {
             let mut par = CiSession::new(GapCi::new(1024));
-            let b = par.run_batch_parallel(&qs, workers);
+            let b = par.run_batch_grouped(&qs, &[], workers);
             assert_eq!(a, b, "parallel({workers}) diverged");
             assert_eq!(par.stats().issued, seq.stats().issued);
             assert_eq!(par.stats().parallel_batches, 1);
@@ -670,7 +503,7 @@ mod tests {
     #[test]
     fn parallel_small_batch_falls_back() {
         let mut s = CiSession::new(GapCi::new(8));
-        let out = s.run_batch_parallel(&[CiQuery::new(&[0], &[3], &[])], 8);
+        let out = s.run_batch_grouped(&[CiQuery::new(&[0], &[3], &[])], &[], 8);
         assert!(out[0].independent);
         assert_eq!(
             s.stats().parallel_batches,
@@ -684,7 +517,7 @@ mod tests {
         let mut s = CiSession::new(GapCi::new(64));
         let qs = queries(20);
         s.run_batch(&qs[..10]);
-        s.run_batch_parallel(&qs, 4);
+        s.run_batch_grouped(&qs, &[], 4);
         assert_eq!(s.stats().issued, 20);
         assert_eq!(s.tester().calls.load(Ordering::Relaxed), 20);
         assert_eq!(s.stats().cache_hits, 10);
@@ -697,17 +530,17 @@ mod tests {
     }
 
     /// Batch-aware tester: same decision rule as [`GapCi`], but counts
-    /// `eval_batch` invocations and reports fake encode-cache telemetry.
+    /// `eval_z_group` invocations and reports fake encode-cache telemetry.
     struct BatchGapCi {
         inner: GapCi,
-        batch_calls: AtomicU64,
+        group_calls: AtomicU64,
     }
 
     impl BatchGapCi {
         fn new(n: usize) -> Self {
             Self {
                 inner: GapCi::new(n),
-                batch_calls: AtomicU64::new(0),
+                group_calls: AtomicU64::new(0),
             }
         }
     }
@@ -721,15 +554,12 @@ mod tests {
         }
     }
 
-    impl CiTestShared for BatchGapCi {
+    impl CiTestBatch for BatchGapCi {
         fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
             self.inner.ci_shared(x, y, z)
         }
-    }
-
-    impl CiTestBatch for BatchGapCi {
-        fn eval_batch(&self, queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+        fn eval_z_group(&self, _z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
+            self.group_calls.fetch_add(1, Ordering::Relaxed);
             queries
                 .iter()
                 .map(|q| self.ci_shared(q.x, q.y, q.z))
@@ -746,25 +576,26 @@ mod tests {
 
     #[test]
     fn batched_matches_per_query_paths() {
+        // Every query shares the empty conditioning set: one Z-group.
         let qs = queries(57);
         let mut seq = CiSession::new(GapCi::new(1024));
         let reference = seq.run_batch(&qs);
 
         let mut batched = CiSession::new(BatchGapCi::new(1024));
-        let got = batched.run_batch_batched(&qs);
+        let got = batched.run_batch_grouped(&qs, &[], 1);
         assert_eq!(reference, got);
         assert_eq!(batched.stats().issued, seq.stats().issued);
         assert_eq!(batched.stats().batched_batches, 1);
         assert_eq!(batched.stats().parallel_batches, 0);
         assert_eq!(
-            batched.tester().batch_calls.load(Ordering::Relaxed),
+            batched.tester().group_calls.load(Ordering::Relaxed),
             1,
-            "whole frontier must be one eval_batch call"
+            "whole single-Z frontier must be one eval_z_group call"
         );
 
         for workers in [1usize, 2, 4] {
             let mut par = CiSession::new(BatchGapCi::new(1024));
-            let got = par.run_batch_batched_parallel(&qs, workers);
+            let got = par.run_batch_grouped(&qs, &[], workers);
             assert_eq!(reference, got, "workers {workers}");
             assert_eq!(par.stats().issued, seq.stats().issued);
             assert_eq!(par.stats().batched_batches, 1);
@@ -865,16 +696,16 @@ mod tests {
             CiQuery::new(&[2], &[0], &[]), // symmetric duplicate
             CiQuery::new(&[5], &[6], &[]),
         ];
-        s.run_batch_batched(&qs);
+        s.run_batch_grouped(&qs, &[], 1);
         assert_eq!(s.stats().issued, 2);
         assert_eq!(s.stats().cache_hits, 1);
         // Encode counters were synced from the tester after the batch.
         assert_eq!(s.stats().encode_cache_hits, 2);
         assert_eq!(s.stats().encode_cache_misses, 1);
-        // Replaying the batch is all memo hits: no new eval_batch work.
-        s.run_batch_batched(&qs);
+        // Replaying the batch is all memo hits: no new eval_z_group work.
+        s.run_batch_grouped(&qs, &[], 1);
         assert_eq!(s.stats().issued, 2);
-        assert_eq!(s.tester().batch_calls.load(Ordering::Relaxed), 2);
+        assert_eq!(s.tester().group_calls.load(Ordering::Relaxed), 1);
         assert_eq!(s.tester().inner.calls.load(Ordering::Relaxed), 2);
     }
 

@@ -11,28 +11,24 @@
 //!   [`QueryKey`]s (symmetric `x`/`y` normalization, sorted `Z`) and a memo
 //!   cache, so a repeated or reordered query is answered without touching
 //!   the tester;
-//! * [`CiSession::run_batch`] / [`CiSession::run_batch_parallel`] evaluate
-//!   a batch of independent queries — deduplicated against the cache and
-//!   against each other — sequentially or across a `std::thread` worker
-//!   pool, with deterministic result ordering either way (parallelism
-//!   requires the tester to implement [`fairsel_ci::CiTestShared`]);
-//! * [`CiSession::run_batch_batched`] /
-//!   [`CiSession::run_batch_batched_parallel`] route the unique misses
-//!   through a batch-aware tester's [`fairsel_ci::CiTestBatch::eval_batch`]
-//!   so a whole frontier shares one columnar encoding pass
-//!   ([`fairsel_table::EncodedTable`]); the tester's encode-cache telemetry
-//!   surfaces as `encode_cache_hits` / `encode_cache_misses` in
-//!   [`EngineStats`];
-//! * [`CiSession::run_batch_grouped`] — the production path — partitions
-//!   the misses by *canonical conditioning set* and evaluates each group
-//!   through [`fairsel_ci::CiTestBatch::eval_z_group`], so the per-`Z`
-//!   scaffold (stratification, ridge factorization, standardized
-//!   conditioning block) is built once per distinct set; with workers the
-//!   groups become steal-able chunks on the session's persistent
-//!   [`WorkerPool`], and *speculative* ride-along queries pre-warm the
-//!   cache under dedicated accounting (`speculative_issued` /
-//!   `speculative_hits`, with `issued + speculative_hits` conserved
-//!   against a speculation-free run);
+//! * two executors run a batch of independent queries, each deduplicated
+//!   against the cache and against itself, with results in input order:
+//!   * [`CiSession::run_batch`] evaluates the unique misses sequentially
+//!     through `&mut` — the path for testers that cannot be shared
+//!     (e.g. the noisy oracle, whose flips are order-dependent);
+//!   * [`CiSession::run_batch_grouped`] — the production path —
+//!     partitions the misses by *canonical conditioning set* and
+//!     evaluates each group through
+//!     [`fairsel_ci::CiTestBatch::eval_z_group`], so the per-`Z` scaffold
+//!     (stratification, ridge factorization, standardized conditioning
+//!     block) is built once per distinct set; with workers the groups
+//!     become steal-able chunks on the session's persistent
+//!     [`WorkerPool`], and *speculative* ride-along queries pre-warm the
+//!     cache under dedicated accounting (`speculative_issued` /
+//!     `speculative_hits`, with `issued + speculative_hits` conserved
+//!     against a speculation-free run). The tester's encode-cache
+//!     telemetry surfaces as `encode_cache_hits` / `encode_cache_misses`
+//!     in [`EngineStats`];
 //! * [`EngineStats`] tracks per-session and per-phase telemetry (queries
 //!   requested, tests actually issued, cache hits, dedup rate, wall time)
 //!   and serializes to JSON for the `BENCH_*.json` trajectories;
@@ -52,8 +48,7 @@ pub mod session;
 pub use exec::default_workers;
 pub use key::{CiQuery, QueryKey};
 pub use planner::{
-    exists_certificate, exists_certificate_parallel, exists_with, exists_with_spec,
-    FrontierOutcome, HalvingPlanner,
+    exists_certificate, exists_with, exists_with_spec, FrontierOutcome, HalvingPlanner,
 };
 pub use pool::WorkerPool;
 pub use session::{CiSession, EngineStats, PhaseStats};

@@ -15,7 +15,7 @@
 
 use crate::key::CiQuery;
 use crate::session::CiSession;
-use fairsel_ci::{CiOutcome, CiTest, CiTestShared, VarId};
+use fairsel_ci::{CiOutcome, CiTest, VarId};
 
 /// Result of advancing the frontier one level.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -140,23 +140,10 @@ pub fn exists_certificate<T: CiTest>(
     exists_with(groups, target, alternatives, |qs| session.run_batch(qs))
 }
 
-/// Parallel twin of [`exists_certificate`]: each wave fans out across
-/// `workers` threads.
-pub fn exists_certificate_parallel<T: CiTestShared>(
-    session: &mut CiSession<T>,
-    groups: &[Vec<VarId>],
-    target: &[VarId],
-    alternatives: &[Vec<VarId>],
-    workers: usize,
-) -> Vec<bool> {
-    exists_with(groups, target, alternatives, |qs| {
-        session.run_batch_parallel(qs, workers)
-    })
-}
-
-/// The wave engine behind both variants, generic over how a batch is
-/// executed — callers with their own dispatch (e.g. GrpSel choosing
-/// sequential vs parallel per run) plug in a closure.
+/// The wave engine behind [`exists_certificate`], generic over how a
+/// batch is executed — callers with their own dispatch (e.g. GrpSel
+/// choosing the sequential or Z-grouped executor per run) plug in a
+/// closure.
 pub fn exists_with<F>(
     groups: &[Vec<VarId>],
     target: &[VarId],

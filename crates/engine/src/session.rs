@@ -34,7 +34,9 @@ pub struct EngineStats {
     pub batches: u64,
     /// Batches that ran on the parallel worker pool.
     pub parallel_batches: u64,
-    /// Batches routed through a batch-aware tester's `eval_batch`.
+    /// Batches routed through a batch-aware tester. Only the Z-grouped
+    /// scheduler does that, so this equals `grouped_batches`; the field
+    /// stays for the stats format.
     pub batched_batches: u64,
     /// Batches executed by the Z-grouped scheduler (conditioning-set
     /// partitioning + `eval_z_group`, inline or on the worker pool).
@@ -378,12 +380,6 @@ pub(crate) fn escape(s: &str) -> String {
 pub(crate) enum BatchKind {
     /// Per-query sequential evaluation.
     Sequential,
-    /// Per-query evaluation fanned across the worker pool.
-    Parallel,
-    /// One `eval_batch` call on a batch-aware tester.
-    Batched,
-    /// `eval_batch` chunks fanned across the worker pool.
-    BatchedParallel,
     /// Z-grouped scheduling (`eval_z_group` per conditioning-set group),
     /// evaluated inline.
     Grouped,
@@ -396,9 +392,6 @@ impl BatchKind {
     pub(crate) fn histogram(self) -> std::sync::Arc<fairsel_obs::Histogram> {
         fairsel_obs::histogram(match self {
             BatchKind::Sequential => "engine_batch/sequential",
-            BatchKind::Parallel => "engine_batch/parallel",
-            BatchKind::Batched => "engine_batch/batched",
-            BatchKind::BatchedParallel => "engine_batch/batched_parallel",
             BatchKind::Grouped => "engine_batch/grouped",
             BatchKind::GroupedParallel => "engine_batch/grouped_parallel",
         })
@@ -425,7 +418,7 @@ pub struct CiSession<T> {
     stats: EngineStats,
     /// Index into `stats.phases` receiving current accounting.
     current_phase: Option<usize>,
-    /// Long-lived worker pool for the parallel schedulers, spawned on
+    /// Long-lived worker pool for the Z-grouped scheduler, spawned on
     /// first use and kept for the session's lifetime (rebuilt only when a
     /// batch asks for a different worker count).
     pool: Option<WorkerPool>,
@@ -693,22 +686,11 @@ impl<T: CiTest> CiSession<T> {
         st.issued += issued;
         st.cache_hits += hits;
         st.batches += 1;
-        if matches!(
-            kind,
-            BatchKind::Parallel | BatchKind::BatchedParallel | BatchKind::GroupedParallel
-        ) {
+        if kind == BatchKind::GroupedParallel {
             st.parallel_batches += 1;
         }
-        if matches!(
-            kind,
-            BatchKind::Batched
-                | BatchKind::BatchedParallel
-                | BatchKind::Grouped
-                | BatchKind::GroupedParallel
-        ) {
+        if kind != BatchKind::Sequential {
             st.batched_batches += 1;
-        }
-        if matches!(kind, BatchKind::Grouped | BatchKind::GroupedParallel) {
             st.grouped_batches += 1;
         }
         st.max_batch = st.max_batch.max(issued as usize);

@@ -512,15 +512,21 @@ fn handle_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
         stream: &stream,
         state,
     };
-    while let Some(value) = read_json(&mut io)? {
+    while let Some(frame) = read_frame(&mut io)? {
         let t0 = Instant::now();
+        // A frame that is not JSON gets a structured error like any other
+        // bad request; the frame boundary is intact, so the connection
+        // stays usable.
+        let value = std::str::from_utf8(&frame)
+            .map_err(|e| format!("frame is not UTF-8: {e}"))
+            .and_then(|text| Json::parse(text).map_err(|e| e.to_string()));
         // Label from the raw frame so the request span and histogram
         // bucket are right even when full parsing fails.
-        let cmd = cmd_label(value.get_str("cmd"));
+        let cmd = cmd_label(value.as_ref().ok().and_then(|v| v.get_str("cmd")));
         let _req_span = fairsel_obs::span_kv("server.request", || vec![("cmd", cmd.into())]);
         let parsed = {
             let _sp = fairsel_obs::span("server.parse");
-            Request::from_json(&value)
+            value.and_then(|v| Request::from_json(&v))
         };
         let (response, stop) = match parsed {
             Err(e) => (Response::Err(e), false),
@@ -1006,6 +1012,35 @@ mod tests {
         let resp = read_json(&mut stream).unwrap().unwrap();
         assert_eq!(resp.get_bool("ok"), Some(false));
         drop(stream);
+
+        handle.shutdown();
+    }
+
+    /// A frame nested past the parser's depth cap is answered with a
+    /// structured error instead of overflowing the handler's stack, and
+    /// the server — and the same connection — keep serving.
+    #[test]
+    fn deeply_nested_frame_gets_error_and_server_survives() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+
+        let sock = addr.parse().unwrap();
+        let mut stream = TcpStream::connect_timeout(&sock, Duration::from_secs(5)).unwrap();
+        crate::proto::write_frame(&mut stream, "[".repeat(200_000).as_bytes()).unwrap();
+        let resp = Response::from_json(&read_json(&mut stream).unwrap().unwrap()).unwrap();
+        match resp {
+            Response::Err(e) => assert!(e.contains("nesting"), "{e}"),
+            other => panic!("expected a structured error, got {other:?}"),
+        }
+        write_json(&mut stream, &Request::Ping.to_json()).unwrap();
+        let pong = Response::from_json(&read_json(&mut stream).unwrap().unwrap()).unwrap();
+        assert!(matches!(pong, Response::Ok { .. }), "{pong:?}");
+        drop(stream);
+        assert!(matches!(
+            request(&addr, &Request::Ping).unwrap(),
+            Response::Ok { .. }
+        ));
 
         handle.shutdown();
     }

@@ -127,7 +127,9 @@ pub mod reference {
 mod tests {
     use super::reference::{grpsel_direct, seqsel_direct};
     use fairsel_ci::{GTest, OracleCi};
-    use fairsel_core::{grpsel, grpsel_in, grpsel_par, seqsel, seqsel_in, Problem, SelectConfig};
+    use fairsel_core::{
+        grpsel, grpsel_batched, grpsel_in, seqsel, seqsel_in, Problem, SelectConfig,
+    };
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_discovery::{pc, pc_in};
@@ -213,7 +215,7 @@ mod tests {
 
         for workers in [2usize, 4] {
             let mut tester = GTest::new(&table, 0.01);
-            let g_par = grpsel_par(&mut tester, &problem, &cfg, None, workers).normalized();
+            let g_par = grpsel_batched(&mut tester, &problem, &cfg, None, workers).normalized();
             assert_eq!(g_direct.c1, g_par.c1, "workers {workers}");
             assert_eq!(g_direct.c2, g_par.c2);
             assert_eq!(g_direct.rejected, g_par.rejected);
@@ -341,7 +343,7 @@ mod tests {
         let base = grpsel(&mut OracleCi::from_dag(dag.clone()), &problem, &cfg);
         for workers in [1usize, 2, 3, 7, 16] {
             let mut tester = OracleCi::from_dag(dag.clone());
-            let got = grpsel_par(&mut tester, &problem, &cfg, None, workers);
+            let got = grpsel_batched(&mut tester, &problem, &cfg, None, workers);
             assert_eq!(base.c1, got.c1, "workers {workers}");
             assert_eq!(base.c2, got.c2);
             assert_eq!(base.rejected, got.rejected);
@@ -372,7 +374,7 @@ mod tests {
 #[cfg(test)]
 mod wide_group_regression {
     use fairsel_ci::GTest;
-    use fairsel_core::{grpsel_par, seqsel, Problem, SelectConfig};
+    use fairsel_core::{grpsel_batched, seqsel, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use rand::rngs::StdRng;
@@ -396,7 +398,7 @@ mod wide_group_regression {
         let problem = Problem::from_table(&table);
         let cfg = SelectConfig::default();
         let mut tester = GTest::new(&table, 0.01);
-        let sel = grpsel_par(&mut tester, &problem, &cfg, None, 4);
+        let sel = grpsel_batched(&mut tester, &problem, &cfg, None, 4);
         // Partition covers every feature; no panic is the real assertion.
         assert_eq!(
             sel.c1.len() + sel.c2.len() + sel.rejected.len(),
@@ -415,24 +417,19 @@ mod wide_group_regression {
 
 #[cfg(test)]
 mod batch_equivalence {
-    //! The `CiTestBatch` contract, verified: for every batch-aware data
-    //! tester, `eval_batch` — direct, through the engine, or fanned across
-    //! worker pools — returns outcomes *byte-identical* to sequential
-    //! per-query evaluation, and batched GrpSel selections are
-    //! byte-identical to the per-query engine path and to the
-    //! pre-refactor encoding path.
+    //! Batched GrpSel selections are byte-identical to the per-query
+    //! engine path and to the pre-refactor encoding path. (Per-query
+    //! outcome identity of every data tester under the grouped scheduler
+    //! is checked by `grouped_equivalence`.)
 
     use super::reference::grpsel_direct;
-    use fairsel_ci::{
-        CiOutcome, CiQueryRef, CiTest, CiTestBatch, FisherZ, GTest, PermutationCmi, Rcit, VarId,
-    };
+    use fairsel_ci::{CiOutcome, CiTest, GTest, VarId};
     use fairsel_core::{grpsel, grpsel_batched, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
-    use fairsel_engine::{CiQuery, CiSession};
     use fairsel_table::Table;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn sampled(seed: u64, n_features: usize, rows: usize) -> Table {
         let cfg = SyntheticConfig {
@@ -445,128 +442,6 @@ mod batch_equivalence {
         let inst = synthetic_instance(&mut rng, &cfg);
         let scm = synthetic_scm(&mut rng, &inst, 1.5);
         sample_table(&scm, &inst.roles, rows, &mut rng)
-    }
-
-    /// Random query workload shaped like the selectors': group sides of
-    /// 1–4 variables, conditioning sets of 0–3, with deliberate repeats.
-    fn workload(rng: &mut StdRng, n_vars: usize, count: usize) -> Vec<CiQuery> {
-        let side = |max: usize, rng: &mut StdRng| -> Vec<VarId> {
-            let len = rng.gen_range(1..=max);
-            (0..len).map(|_| rng.gen_range(0..n_vars)).collect()
-        };
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let x = side(4, rng);
-            let y = side(2, rng);
-            let zlen = rng.gen_range(0..=3usize);
-            let z: Vec<VarId> = (0..zlen).map(|_| rng.gen_range(0..n_vars)).collect();
-            out.push(CiQuery::new(&x, &y, &z));
-            if rng.gen_range(0..4) == 0 {
-                // Symmetric respelling of the previous query.
-                out.push(CiQuery::new(&y, &x, &z));
-            }
-        }
-        out
-    }
-
-    /// One tester's equivalence check across every execution path.
-    fn assert_batch_equivalence<'t, F>(make: F, queries: &[CiQuery], label: &str)
-    where
-        F: Fn() -> Box<dyn SharedBatch + 't>,
-    {
-        // Reference: sequential per-query shared evaluation.
-        let reference: Vec<CiOutcome> = {
-            let t = make();
-            queries.iter().map(|q| t.ci(&q.x, &q.y, &q.z)).collect()
-        };
-        // Direct eval_batch on a fresh tester.
-        let direct: Vec<CiOutcome> = {
-            let t = make();
-            let refs: Vec<CiQueryRef<'_>> = queries
-                .iter()
-                .map(|q| CiQueryRef {
-                    x: &q.x,
-                    y: &q.y,
-                    z: &q.z,
-                })
-                .collect();
-            t.batch(&refs)
-        };
-        assert_eq!(reference, direct, "{label}: eval_batch != sequential eval");
-        // Engine-routed, workers 1 / 2 / 4.
-        for workers in [1usize, 2, 4] {
-            let t = make();
-            let got = t.run_through_session(queries, workers);
-            assert_eq!(
-                reference, got,
-                "{label}: engine batched (workers={workers}) diverged"
-            );
-        }
-    }
-
-    /// Object-safe adapter so one harness drives all three testers.
-    trait SharedBatch {
-        fn ci(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome;
-        fn batch(&self, qs: &[CiQueryRef<'_>]) -> Vec<CiOutcome>;
-        fn run_through_session(&self, qs: &[CiQuery], workers: usize) -> Vec<CiOutcome>;
-    }
-
-    impl<T: CiTestBatch> SharedBatch for T {
-        fn ci(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-            self.ci_shared(x, y, z)
-        }
-        fn batch(&self, qs: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-            self.eval_batch(qs)
-        }
-        fn run_through_session(&self, qs: &[CiQuery], workers: usize) -> Vec<CiOutcome> {
-            let mut session = CiSession::new(self);
-            if workers > 1 {
-                session.run_batch_batched_parallel(qs, workers)
-            } else {
-                session.run_batch_batched(qs)
-            }
-        }
-    }
-
-    #[test]
-    fn every_data_tester_is_batch_equivalent() {
-        let table = sampled(41, 12, 800);
-        let n_vars = table.n_cols();
-        for seed in 0..4u64 {
-            let mut rng = StdRng::seed_from_u64(100 + seed);
-            let queries = workload(&mut rng, n_vars, 40);
-            assert_batch_equivalence(|| Box::new(GTest::new(&table, 0.01)), &queries, "g-test");
-            assert_batch_equivalence(
-                || Box::new(PermutationCmi::new(&table, 0.05, 19, 7)),
-                &queries,
-                "perm-cmi",
-            );
-            assert_batch_equivalence(
-                || Box::new(FisherZ::new(&table, 0.01)),
-                &queries,
-                "fisher-z",
-            );
-        }
-    }
-
-    /// RCIT — a *randomized* tester, sequential-only before its port to
-    /// per-query derived RNG streams — satisfies the same contract: batch
-    /// and engine-routed evaluation at workers 1/2/4 is byte-identical to
-    /// sequential per-query evaluation, including symmetric respellings
-    /// (which share one derived stream by canonicalization).
-    #[test]
-    fn rcit_is_batch_equivalent_at_every_worker_count() {
-        let table = sampled(47, 8, 300);
-        let n_vars = table.n_cols();
-        for seed in 0..2u64 {
-            let mut rng = StdRng::seed_from_u64(300 + seed);
-            let queries = workload(&mut rng, n_vars, 12);
-            assert_batch_equivalence(
-                || Box::new(Rcit::with_alpha(&table, 0.01, 5)),
-                &queries,
-                "rcit",
-            );
-        }
     }
 
     /// GrpSel through the batched engine path is byte-identical to the
@@ -1289,7 +1164,7 @@ mod cache_bounds {
     //! every selection remains byte-identical to the unbounded run —
     //! eviction only ever discards recomputable memo values.
 
-    use fairsel_ci::{CiTestBatch, CiTestShared, FisherZ, GTest};
+    use fairsel_ci::{CiTestBatch, FisherZ, GTest};
     use fairsel_core::{grpsel_batched_in, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
@@ -1853,10 +1728,10 @@ mod observability {
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_engine::EngineStats;
     use fairsel_server::{
-        pipeline_config, request, DatasetRef, Json, Request, Response, ServeConfig, Server,
-        WorkloadRequest,
+        append_rows, pipeline_config, put_dataset, request, DatasetRef, Json, Request, Response,
+        ServeConfig, Server, WorkloadRequest,
     };
-    use fairsel_table::{csv, Table};
+    use fairsel_table::{csv, encode_row_batch, encode_table, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Mutex;
@@ -1953,6 +1828,101 @@ mod observability {
                 "workers={workers}: tracing changed engine counters"
             );
         }
+    }
+
+    /// The spans currently in the server's trace sink.
+    fn trace_spans(addr: &str) -> Vec<Json> {
+        let resp = request(addr, &Request::Trace { last: 4096 }).expect("trace");
+        let Response::Ok {
+            stats: Some(got), ..
+        } = resp
+        else {
+            panic!("trace failed: {resp:?}");
+        };
+        match got.get("spans") {
+            Some(Json::Arr(spans)) => spans.clone(),
+            _ => panic!("trace response carried no spans array"),
+        }
+    }
+
+    /// After an append, the child's first select is born warm, and that
+    /// birth is traced: a `session.warm_child` span carrying the child
+    /// fingerprint, nested under the `session.build` span that asked for
+    /// the child session.
+    #[test]
+    fn warm_child_birth_is_traced_under_session_build() {
+        let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let full = workload_table(35, 8, 600);
+        let base = full.take_rows(&(0..500).collect::<Vec<_>>());
+        let batch = full.take_rows(&(500..600).collect::<Vec<_>>());
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+
+        let Response::Ok { body: fp_hex, .. } = put_dataset(&addr, &encode_table(&base)).unwrap()
+        else {
+            panic!("put failed");
+        };
+        let select = |hex: &str| {
+            let fp = u64::from_str_radix(hex, 16).unwrap();
+            let req = Request::Select(WorkloadRequest {
+                dataset: DatasetRef::Fp(fp),
+                ..Default::default()
+            });
+            match request(&addr, &req).expect("select") {
+                Response::Ok { stats, .. } => stats.expect("select stats"),
+                other => panic!("select failed: {other:?}"),
+            }
+        };
+        select(&fp_hex);
+        let fp = u64::from_str_radix(&fp_hex, 16).unwrap();
+        let Response::Ok {
+            body: child_hex, ..
+        } = append_rows(&addr, fp, &encode_row_batch(&batch)).unwrap()
+        else {
+            panic!("append failed");
+        };
+        let child_stats = select(&child_hex);
+        assert!(
+            child_stats.get_u64("append_rows").unwrap_or(0) > 0,
+            "child must be born warm: {child_stats:?}"
+        );
+
+        // Handler threads flush span buffers after writing the response;
+        // poll briefly for the child's span.
+        let mut found = None;
+        for attempt in 0..40 {
+            if attempt > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(25));
+            }
+            let spans = trace_spans(&addr);
+            let warm = spans.iter().find(|s| {
+                s.get_str("name") == Some("session.warm_child")
+                    && s.get("kv").and_then(|kv| kv.get_str("fingerprint"))
+                        == Some(child_hex.as_str())
+            });
+            if let Some(w) = warm {
+                found = Some((w.clone(), spans.clone()));
+                break;
+            }
+        }
+        let (warm, spans) = found.expect("no session.warm_child span for the child fingerprint");
+        assert_eq!(
+            warm.get("kv").and_then(|kv| kv.get_str("parent")),
+            Some(fp_hex.as_str())
+        );
+        let parent_id = warm.get_u64("parent").expect("parent id");
+        let parent = spans
+            .iter()
+            .find(|s| s.get_u64("id") == Some(parent_id))
+            .expect("warm_child's parent span is in the trace");
+        assert_eq!(parent.get_str("name"), Some("session.build"));
+        assert_eq!(
+            parent.get("kv").and_then(|kv| kv.get_str("fingerprint")),
+            Some(child_hex.as_str())
+        );
+
+        handle.shutdown();
     }
 
     #[test]
