@@ -51,6 +51,7 @@ pub use rcit::{Rcit, RcitConfig};
 
 pub use fairsel_table::{EncodeStats, EncodedTable};
 
+use fairsel_table::{Role, Table};
 use std::sync::Arc;
 
 /// Conservation ledger for a tester's per-conditioning-set scaffolds
@@ -217,6 +218,28 @@ pub fn canonical_set(z: &[VarId]) -> Vec<VarId> {
     zs.sort_unstable();
     zs.dedup();
     zs
+}
+
+/// Check that `table`'s column types suit the tester named `tester`,
+/// before the tester is built. The G-test counts categorical codes, so
+/// every model column (any role but [`Role::Key`]) must be categorical;
+/// the other testers take numeric columns as they are.
+pub fn check_tester_columns(tester: &str, table: &Table) -> Result<(), String> {
+    if tester != "gtest" {
+        return Ok(());
+    }
+    match table
+        .columns()
+        .iter()
+        .find(|c| c.role != Role::Key && !c.is_categorical())
+    {
+        Some(c) => Err(format!(
+            "tester gtest needs categorical columns, but column {} is numeric \
+             (fisherz takes numeric columns)",
+            c.name
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Seed for a *per-query* private RNG stream: `base` mixed with a stable

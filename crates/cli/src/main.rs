@@ -15,7 +15,7 @@
 //! the format `fairsel_table::csv` round-trips; `fairsel gen` produces
 //! them from the paper's fixtures or the synthetic workload generator.
 
-use fairsel_ci::{FisherZ, GTest, OracleCi};
+use fairsel_ci::{check_tester_columns, FisherZ, GTest, OracleCi};
 use fairsel_core::{
     render_methods_report, render_pipeline_report, run_all_methods, run_pipeline_batched,
     ClassifierKind, PipelineConfig, PipelineResult, Problem, SelectConfig, SelectionAlgo,
@@ -386,6 +386,9 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
     }
 
     let w = load_workload(opts)?;
+    if opts.get("dag").is_none() {
+        check_tester_columns(&w.tester, &w.train)?;
+    }
     let cache_cap: usize = opts.num("cache-cap", DEFAULT_CACHE_CAP)?;
     let out = if let Some(path) = opts.get("dag") {
         let dag = load_dag(path)?;
@@ -861,6 +864,7 @@ fn cmd_methods(opts: &Opts) -> Result<(), String> {
     let spec = if aligned_dag.is_some() {
         TesterSpec::Oracle
     } else {
+        check_tester_columns(&w.tester, &w.train)?;
         match w.tester.as_str() {
             "gtest" => TesterSpec::GTest { alpha: w.alpha },
             "fisherz" => TesterSpec::FisherZ { alpha: w.alpha },
@@ -908,5 +912,60 @@ fn print_engine_stats(stats: &EngineStats, workers: usize) {
             "  {:<24} requested {:>6}  issued {:>6}  hits {:>6}  {:>9.2} ms",
             p.name, p.requested, p.issued, p.cache_hits, p.wall_ms
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    type Cmd = fn(&Opts) -> Result<(), String>;
+
+    /// Run `select` and `methods` locally on `csv_text` with `tester`
+    /// and return both errors.
+    fn run_both(name: &str, csv_text: &str, tester: &str) -> Vec<String> {
+        let dir = std::env::temp_dir().join(format!("fairsel_cli_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("data.csv");
+        std::fs::write(&path, csv_text).unwrap();
+        let args: Vec<String> = ["--csv", path.to_str().unwrap(), "--tester", tester]
+            .map(String::from)
+            .to_vec();
+        let opts = Opts::parse(&args).unwrap();
+        let errors = [cmd_select as Cmd, cmd_methods]
+            .iter()
+            .map(|cmd| cmd(&opts).expect_err("command must fail"))
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        errors
+    }
+
+    /// 40 rows of a sensitive, a numeric feature `x` and a target; row
+    /// `bad_row` of `x` reads `bad`.
+    fn numeric_csv(bad_row: usize, bad: &str) -> String {
+        let mut text = String::from("s:cat2[sensitive],x:num[feature],y:cat2[target]\n");
+        for i in 0..40 {
+            let x = if i == bad_row {
+                bad.to_owned()
+            } else {
+                format!("{i}.5")
+            };
+            text.push_str(&format!("{},{x},{}\n", i % 2, (i / 2) % 2));
+        }
+        text
+    }
+
+    #[test]
+    fn gtest_over_numeric_feature_is_an_error() {
+        for e in run_both("gtest_num", &numeric_csv(usize::MAX, ""), "gtest") {
+            assert!(e.contains("column x is numeric"), "{e}");
+        }
+    }
+
+    #[test]
+    fn non_finite_cell_is_an_error() {
+        for e in run_both("nan", &numeric_csv(6, "NaN"), "fisherz") {
+            assert!(e.contains("column x line 8: non-finite"), "{e}");
+        }
     }
 }

@@ -22,7 +22,7 @@
 //! eviction counters surfaced in the response telemetry.
 
 use crate::proto::{CacheInfo, DatasetRef, MaxGroupSpec, WorkloadRequest};
-use fairsel_ci::{CiTestBatch, FisherZ, GTest};
+use fairsel_ci::{check_tester_columns, CiTestBatch, FisherZ, GTest};
 use fairsel_core::{
     render_methods_report, render_pipeline_report, run_all_methods_in, run_pipeline_batched_in,
     ClassifierKind, PipelineConfig, Problem, SelectConfig, SelectionAlgo,
@@ -519,6 +519,9 @@ impl Registry {
                 )
             })?,
         };
+        // Reject a tester the column types cannot feed before any state
+        // is built, so a failed request leaves nothing resident.
+        check_tester_columns(&req.tester, &table)?;
         // Cold path: build the workload with NO lock held — the train/test
         // split copies every column, which must not stall warm requests
         // for other datasets. Two racing cold requests may both build;

@@ -604,6 +604,10 @@ fn put_response(bytes: &[u8], state: &ServerState) -> Response {
         Ok(t) => t,
         Err(e) => return Response::Err(format!("decoding dataset: {e}")),
     };
+    // The codec is an exact format and carries any f64; the testers do not.
+    if let Err(e) = table.ensure_finite() {
+        return Response::Err(format!("rejecting dataset: {e}"));
+    }
     match state.registry.put(table) {
         Ok(fp) => Response::Ok {
             body: format!("{fp:016x}"),
@@ -634,6 +638,9 @@ fn append_response(fp: u64, bytes: &[u8], state: &ServerState) -> Response {
         Ok(t) => t,
         Err(e) => return Response::Err(format!("decoding append batch: {e}")),
     };
+    if let Err(e) = batch.ensure_finite() {
+        return Response::Err(format!("rejecting append batch: {e}"));
+    }
     let batch_rows = batch.n_rows();
     match state.registry.append(fp, batch) {
         Ok((child_fp, rows)) => Response::Ok {
@@ -1042,6 +1049,131 @@ mod tests {
             Response::Ok { .. }
         ));
 
+        handle.shutdown();
+    }
+
+    /// `small_table(rows)` plus a numeric feature `z` whose row `bad_row`
+    /// (if any) holds `bad`.
+    fn with_numeric(rows: usize, bad_row: Option<usize>, bad: f64) -> Table {
+        let z = (0..rows)
+            .map(|i| {
+                if Some(i) == bad_row {
+                    bad
+                } else {
+                    i as f64 * 0.5
+                }
+            })
+            .collect();
+        small_table(rows)
+            .with_column(Column::num("z", Role::Feature, z))
+            .unwrap()
+    }
+
+    /// Send one request (plus its payload frame, if any) on `stream` and
+    /// read the response.
+    fn exchange(stream: &mut TcpStream, req: &Request, payload: Option<&[u8]>) -> Response {
+        write_json(stream, &req.to_json()).unwrap();
+        if let Some(bytes) = payload {
+            crate::proto::write_frame(stream, bytes).unwrap();
+        }
+        Response::from_json(&read_json(stream).unwrap().unwrap()).unwrap()
+    }
+
+    fn stats_json(addr: &str) -> Json {
+        let Response::Ok { stats: Some(s), .. } = request(addr, &Request::Stats).unwrap() else {
+            panic!("stats failed");
+        };
+        s
+    }
+
+    /// A dataset or append batch holding a non-finite number is rejected
+    /// with a structured error: nothing is kept resident, and the same
+    /// connection keeps answering.
+    #[test]
+    fn non_finite_put_and_append_are_rejected() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let sock = addr.parse().unwrap();
+        let mut stream = TcpStream::connect_timeout(&sock, Duration::from_secs(5)).unwrap();
+        let before = stats_json(&addr);
+
+        let nan = codec::encode_table(&with_numeric(200, Some(17), f64::NAN));
+        match exchange(&mut stream, &Request::Put, Some(&nan)) {
+            Response::Err(e) => assert!(e.contains("column z row 17"), "{e}"),
+            other => panic!("NaN put accepted: {other:?}"),
+        }
+        assert_eq!(
+            exchange(&mut stream, &Request::Ping, None),
+            Response::ok("pong")
+        );
+
+        let good = codec::encode_table(&with_numeric(200, None, 0.0));
+        let Response::Ok { body: fp_hex, .. } = exchange(&mut stream, &Request::Put, Some(&good))
+        else {
+            panic!("finite put failed");
+        };
+        let fp = u64::from_str_radix(&fp_hex, 16).unwrap();
+        let batch = with_numeric(8, Some(3), f64::NEG_INFINITY);
+        let append = Request::Append { fp };
+        match exchange(&mut stream, &append, Some(&codec::encode_row_batch(&batch))) {
+            Response::Err(e) => assert!(e.contains("column z row 3"), "{e}"),
+            other => panic!("-inf append accepted: {other:?}"),
+        }
+        assert_eq!(
+            exchange(&mut stream, &Request::Ping, None),
+            Response::ok("pong")
+        );
+
+        let after = stats_json(&addr);
+        assert_eq!(
+            after.get_u64("resident_datasets"),
+            before.get_u64("resident_datasets")
+        );
+        // Only the finite upload is resident; the rejected append left no
+        // child behind.
+        assert_eq!(after.get_u64("resident_puts"), Some(1));
+        drop(stream);
+        handle.shutdown();
+    }
+
+    /// The G-test over a numeric feature is a structured error raised
+    /// before a session is built, for inline CSV and uploaded datasets
+    /// alike; Fisher-z serves the same table.
+    #[test]
+    fn gtest_over_numeric_column_is_rejected_before_session_build() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let table = with_numeric(200, None, 0.0);
+
+        let inline = WorkloadRequest::with_csv(csv::to_csv_string(&table));
+        let Response::Ok { body: fp_hex, .. } =
+            put_dataset(&addr, &codec::encode_table(&table)).unwrap()
+        else {
+            panic!("put failed");
+        };
+        let by_fp = WorkloadRequest {
+            dataset: DatasetRef::Fp(u64::from_str_radix(&fp_hex, 16).unwrap()),
+            ..Default::default()
+        };
+        for req in [&inline, &by_fp] {
+            for wire in [Request::Select(req.clone()), Request::Methods(req.clone())] {
+                match request(&addr, &wire).unwrap() {
+                    Response::Err(e) => assert!(e.contains("column z is numeric"), "{e}"),
+                    other => panic!("gtest over num served: {other:?}"),
+                }
+            }
+        }
+        assert_eq!(stats_json(&addr).get_u64("resident_datasets"), Some(0));
+
+        let fisherz = WorkloadRequest {
+            tester: "fisherz".into(),
+            ..by_fp
+        };
+        let resp = request(&addr, &Request::Select(fisherz)).unwrap();
+        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+        assert_eq!(stats_json(&addr).get_u64("resident_datasets"), Some(1));
         handle.shutdown();
     }
 

@@ -187,6 +187,8 @@ pub enum TableError {
     JoinError(String),
     /// An appended row batch does not match the parent schema.
     SchemaMismatch(String),
+    /// A numeric column holds `NaN` or an infinity.
+    NonFinite { column: String, row: usize },
 }
 
 impl fmt::Display for TableError {
@@ -203,6 +205,9 @@ impl fmt::Display for TableError {
             TableError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
             TableError::JoinError(m) => write!(f, "join error: {m}"),
             TableError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
+            TableError::NonFinite { column, row } => {
+                write!(f, "column {column} row {row} holds a non-finite number")
+            }
         }
     }
 }
@@ -409,6 +414,24 @@ impl Table {
         let cut = ((self.n_rows as f64) * train_frac).round() as usize;
         let cut = cut.clamp(1, self.n_rows.saturating_sub(1).max(1));
         (self.take_rows(&rows[..cut]), self.take_rows(&rows[cut..]))
+    }
+
+    /// Fail on the first `NaN` or infinite value of a numeric column.
+    /// The testers and classifiers assume finite numbers, so every
+    /// ingest path that does not parse CSV (which checks as it parses)
+    /// calls this before the table is used.
+    pub fn ensure_finite(&self) -> Result<(), TableError> {
+        for c in &self.columns {
+            if let ColumnData::Num(v) = &c.data {
+                if let Some(row) = v.iter().position(|x| !x.is_finite()) {
+                    return Err(TableError::NonFinite {
+                        column: c.name.clone(),
+                        row,
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Concatenate a row batch with an identical schema onto this table.
@@ -1016,5 +1039,27 @@ mod tests {
             .clone()
             .with_column(Column::num("y", Role::Feature, vec![1.0]))
             .is_err());
+    }
+
+    #[test]
+    fn ensure_finite_names_the_first_bad_cell() {
+        assert_eq!(people().ensure_finite(), Ok(()));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let t = Table::new(vec![
+                Column::cat("s", Role::Sensitive, vec![0, 1, 0], 2),
+                Column::num("x", Role::Feature, vec![1.0, 2.0, 3.0]),
+                Column::num("z", Role::Feature, vec![0.5, bad, bad]),
+            ])
+            .unwrap();
+            let e = t.ensure_finite().unwrap_err();
+            assert_eq!(
+                e,
+                TableError::NonFinite {
+                    column: "z".into(),
+                    row: 1
+                }
+            );
+            assert_eq!(e.to_string(), "column z row 1 holds a non-finite number");
+        }
     }
 }
