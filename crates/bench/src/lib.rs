@@ -40,13 +40,6 @@ pub struct BenchResult {
     pub encode_hits: u64,
     /// Encoding-layer cache misses (encodings computed).
     pub encode_misses: u64,
-    /// Queries evaluated speculatively (predicted frontier work).
-    pub speculative_issued: u64,
-    /// Demanded queries answered by a speculative evaluation; for one
-    /// workload, `issued + speculative_hits` of a speculative run equals
-    /// `issued` of the non-speculative run (conservation — validated by
-    /// the smoke suite).
-    pub speculative_hits: u64,
     /// End-to-end selection wall time, milliseconds (median of repeats).
     pub wall_ms: f64,
     /// Request payload bytes shipped over the wire per request (frame
@@ -112,7 +105,6 @@ impl BenchResult {
         format!(
             "{{\"scenario\":\"{}\",\"algo\":\"{}\",\"n_features\":{},\
              \"requested\":{},\"issued\":{},\"cache_hits\":{},\
-             \"speculative_issued\":{},\"speculative_hits\":{},\
              \"encode_hits\":{},\"encode_misses\":{},\
              \"wall_ms\":{:.3},\"req_bytes\":{},\"selected\":{},\
              \"p50_ms\":{:.3},\"p95_ms\":{:.3},\"p99_ms\":{:.3},\
@@ -127,8 +119,6 @@ impl BenchResult {
             self.requested,
             self.issued,
             self.cache_hits,
-            self.speculative_issued,
-            self.speculative_hits,
             self.encode_hits,
             self.encode_misses,
             self.wall_ms,
@@ -215,8 +205,6 @@ where
         cache_hits: stats.cache_hits,
         encode_hits: stats.encode_cache_hits,
         encode_misses: stats.encode_cache_misses,
-        speculative_issued: stats.speculative_issued,
-        speculative_hits: stats.speculative_hits,
         wall_ms,
         req_bytes: 0,
         selected,
@@ -313,7 +301,7 @@ pub fn data_scaling(
 }
 
 /// The batch-execution story: GrpSel with the G-test (and Fisher-z)
-/// through three execution strategies on the same instance and seed —
+/// through two execution strategies on the same instance and seed —
 ///
 /// * `grpsel-nocache`: the per-query baseline, every query re-deriving
 ///   its joint encodings (memoization disabled — the pre-`EncodedTable`
@@ -321,13 +309,9 @@ pub fn data_scaling(
 /// * `grpsel-batched-parN`: the **Z-grouped scheduler** — frontiers
 ///   partitioned by canonical conditioning set, one scaffold per distinct
 ///   `Z` (`eval_z_group`), group chunks stolen from the persistent worker
-///   pool's shared deque at N workers;
-/// * `grpsel-spec`: the Z-grouped scheduler with speculative frontier
-///   waves on — the `speculative_*` columns measure the policy, and
-///   `issued + speculative_hits` equals the non-speculative `issued`
-///   (conservation, enforced by [`validate_bench_json`]).
+///   pool's shared deque at N workers.
 ///
-/// Selections are byte-identical across all three (property-tested and
+/// Selections are byte-identical across both (property-tested and
 /// golden-pinned in `fairsel-tests`); the rows differ only in wall time
 /// and counters.
 pub fn data_tester_modes(
@@ -534,9 +518,8 @@ fn encoded(table: &Table, cached: bool) -> Arc<EncodedTable> {
     })
 }
 
-/// Run one scenario's three execution modes (per-query uncached
-/// baseline, Z-grouped + worker pool, Z-grouped + speculation) for any
-/// batch-aware tester.
+/// Run one scenario's two execution modes (per-query uncached baseline,
+/// Z-grouped + worker pool) for any batch-aware tester.
 #[allow(clippy::too_many_arguments)]
 fn modes_for<T, F>(
     out: &mut Vec<BenchResult>,
@@ -569,20 +552,6 @@ fn modes_for<T, F>(
         let mut session = CiSession::new(mk(true));
         measure(scenario, &algo, n_features, &mut session, |s| {
             grpsel_batched_in(s, problem, select, None, workers)
-                .selected()
-                .len()
-        })
-    }));
-
-    // Z-grouped + speculative frontier waves.
-    let speculative = SelectConfig {
-        speculate: true,
-        ..select.clone()
-    };
-    out.push(median_of_repeats(repeats, || {
-        let mut session = CiSession::new(mk(true));
-        measure(scenario, "grpsel-spec", n_features, &mut session, |s| {
-            grpsel_batched_in(s, problem, &speculative, None, workers)
                 .selected()
                 .len()
         })
@@ -661,8 +630,6 @@ pub fn serve_cold_warm(n_features: usize, rows: usize) -> Vec<BenchResult> {
             cache_hits: hits,
             encode_hits: cache.encode_hits,
             encode_misses: cache.encode_misses,
-            speculative_issued: num("speculative_issued"),
-            speculative_hits: num("speculative_hits"),
             wall_ms,
             req_bytes,
             selected,
@@ -780,8 +747,6 @@ pub fn serve_concurrent(n_features: usize, rows: usize, clients: usize) -> Vec<B
             cache_hits: after.2 - cum.2,
             encode_hits: outcomes.iter().map(|o| o.3).max().unwrap_or(0),
             encode_misses: outcomes.iter().map(|o| o.4).max().unwrap_or(0),
-            speculative_issued: 0,
-            speculative_hits: 0,
             wall_ms,
             req_bytes,
             selected: outcomes.first().map_or(0, |o| o.5),
@@ -815,8 +780,6 @@ pub fn serve_concurrent(n_features: usize, rows: usize, clients: usize) -> Vec<B
         cache_hits: 0,
         encode_hits: 0,
         encode_misses: 0,
-        speculative_issued: 0,
-        speculative_hits: 0,
         wall_ms: put_wall,
         req_bytes: (Request::Put.to_json().to_string().len() + 4 + 4 + codec_bytes.len()) as u64,
         selected: 0,
@@ -999,8 +962,6 @@ pub fn cache_replay(n_features: usize) -> Vec<BenchResult> {
         cache_hits: stats.cache_hits - before.2,
         encode_hits: 0,
         encode_misses: 0,
-        speculative_issued: 0,
-        speculative_hits: 0,
         wall_ms,
         req_bytes: 0,
         selected,
@@ -1194,9 +1155,8 @@ pub fn default_suite(quick: bool) -> Vec<BenchResult> {
     bench_suite(quick, default_workers())
 }
 
-/// The CI smoke suite: the data-tester scenarios (including the
-/// speculative run the validator checks for conservation) plus the
-/// cold/warm serve round trip, on tiny inputs.
+/// The CI smoke suite: the data-tester scenarios plus the cold/warm
+/// serve round trip, on tiny inputs.
 pub fn smoke_suite() -> Vec<BenchResult> {
     let mut out = data_tester_modes(16, 800, 2, 1);
     out.extend(rows_scaling(&[2000, 6000], 2, 1));
@@ -1245,10 +1205,7 @@ pub const ENGINE_STATS_KEYS: &[&str] = &[
     "cache_hits",
     "batches",
     "parallel_batches",
-    "batched_batches",
     "grouped_batches",
-    "speculative_issued",
-    "speculative_hits",
     "max_batch",
     "wall_ms",
     "encode_cache_hits",
@@ -1284,11 +1241,8 @@ pub fn validate_stats_json(json: &str) -> Result<(), String> {
 
 /// Validate a serialized bench document the way the CI smoke job does:
 /// structurally sound JSON with a non-empty `runs` array, every run
-/// carrying the encode-cache **and scheduler** counters, the G-test
-/// GrpSel batched scenario actually *hitting* the encode cache, and the
-/// speculative runs conserving `issued` against their non-speculative
-/// twins (`issued_spec + speculative_hits == issued_plain` — the proof
-/// speculation moved work rather than adding or dropping any).
+/// carrying the encode-cache counters, and the G-test GrpSel batched
+/// scenario actually *hitting* the encode cache.
 pub fn validate_bench_json(json: &str) -> Result<(), String> {
     let json = json.trim();
     if !json.starts_with('{') || !json.ends_with('}') {
@@ -1325,8 +1279,6 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
         "\"issued\":",
         "\"encode_hits\":",
         "\"encode_misses\":",
-        "\"speculative_issued\":",
-        "\"speculative_hits\":",
         "\"wall_ms\":",
         "\"req_bytes\":",
         "\"p50_ms\":",
@@ -1349,8 +1301,6 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
             return Err(format!("counter {key} absent from some run"));
         }
     }
-    // Scheduler acceptance signal: every speculative run conserves issued
-    // work against its non-speculative twin and actually speculated.
     let runs: Vec<&str> = json
         .split("{\"scenario\":\"")
         .skip(1)
@@ -1361,28 +1311,14 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
         runs.iter()
             .find(|r| r.starts_with(scenario_prefix) && r.contains(&needle))
     };
+    // Both data-tester scenarios ran the Z-grouped scheduler, at
+    // whatever worker count (`grpsel-batched-par{N}`).
     for scenario in ["gtest-batch", "fisherz-batch"] {
-        // The non-speculative twin is the Z-grouped row at whatever
-        // worker count the run used (`grpsel-batched-par{N}`).
-        let plain = runs
+        if !runs
             .iter()
-            .find(|r| r.starts_with(scenario) && r.contains("\"algo\":\"grpsel-batched-par"))
-            .ok_or_else(|| format!("{scenario}: no grpsel-batched-par run"))?;
-        let spec = find_run(scenario, "grpsel-spec")
-            .ok_or_else(|| format!("{scenario}: no grpsel-spec run"))?;
-        let plain_issued = run_field(plain, "issued").ok_or("unreadable issued")?;
-        let spec_issued = run_field(spec, "issued").ok_or("unreadable issued")?;
-        let spec_extra =
-            run_field(spec, "speculative_issued").ok_or("unreadable speculative_issued")?;
-        let spec_hits = run_field(spec, "speculative_hits").ok_or("unreadable speculative_hits")?;
-        if spec_extra == 0 {
-            return Err(format!("{scenario}: speculative run never speculated"));
-        }
-        if spec_issued + spec_hits != plain_issued {
-            return Err(format!(
-                "{scenario}: speculation broke issued conservation \
-                 ({spec_issued} + {spec_hits} != {plain_issued})"
-            ));
+            .any(|r| r.starts_with(scenario) && r.contains("\"algo\":\"grpsel-batched-par"))
+        {
+            return Err(format!("{scenario}: no grpsel-batched-par run"));
         }
     }
     // The acceptance signal: a batched G-test GrpSel run with real
@@ -1707,13 +1643,12 @@ mod tests {
                 .iter()
                 .filter(|r| r.scenario.starts_with(scenario))
                 .collect();
-            assert_eq!(rows.len(), 3, "{scenario}: three execution modes");
+            assert_eq!(rows.len(), 2, "{scenario}: two execution modes");
             let baseline = rows.iter().find(|r| r.algo == "grpsel-nocache").unwrap();
             let grouped = rows
                 .iter()
                 .find(|r| r.algo == "grpsel-batched-par2")
                 .unwrap();
-            let spec = rows.iter().find(|r| r.algo == "grpsel-spec").unwrap();
             assert_eq!(baseline.encode_hits, 0, "uncached baseline never hits");
             assert!(
                 grouped.encode_hits > 0,
@@ -1725,19 +1660,10 @@ mod tests {
                 grouped.encode_misses,
                 baseline.encode_misses
             );
-            // Same instance, same seed: every mode selects identically;
-            // the non-speculative modes issue the same tests, and the
-            // speculative mode conserves them.
-            for r in &rows {
-                assert_eq!(r.selected, baseline.selected, "{}", r.algo);
-            }
+            // Same instance, same seed: both modes select identically
+            // and issue the same tests.
+            assert_eq!(grouped.selected, baseline.selected);
             assert_eq!(grouped.issued, baseline.issued);
-            assert!(spec.speculative_issued > 0, "{scenario}: must speculate");
-            assert_eq!(
-                spec.issued + spec.speculative_hits,
-                baseline.issued,
-                "{scenario}: speculation must conserve issued work"
-            );
         }
     }
 
@@ -1773,25 +1699,16 @@ mod tests {
     }
 
     /// One flat fake run object for validator tests.
-    fn fake_run(
-        scenario: &str,
-        algo: &str,
-        issued: u64,
-        spec: (u64, u64),
-        enc_hits: u64,
-        req_bytes: u64,
-    ) -> String {
+    fn fake_run(scenario: &str, algo: &str, issued: u64, enc_hits: u64, req_bytes: u64) -> String {
         format!(
             "{{\"scenario\":\"{scenario}\",\"algo\":\"{algo}\",\"issued\":{issued},\
-             \"cache_hits\":9,\"speculative_issued\":{},\"speculative_hits\":{},\
-             \"encode_hits\":{enc_hits},\"encode_misses\":9,\"wall_ms\":1.0,\
+             \"cache_hits\":9,\"encode_hits\":{enc_hits},\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":{req_bytes},\"p50_ms\":0.000,\"p95_ms\":0.000,\
              \"p99_ms\":0.000,\"max_ms\":0.000,\"hist_total\":0,\"rows\":0,\
              \"ns_per_row\":0.000,\"pvalue_hash\":\"\",\
              \"dense_count_cells\":0,\"narrow_code_bytes\":0,\
              \"append_rows\":0,\"extended_encodings\":0,\
-             \"memo_patched\":0,\"memo_invalidated\":0}}",
-            spec.0, spec.1
+             \"memo_patched\":0,\"memo_invalidated\":0}}"
         )
     }
 
@@ -1806,7 +1723,7 @@ mod tests {
     ) -> String {
         format!(
             "{{\"scenario\":\"rows-scaling/{family}/rows={rows}\",\"algo\":\"{algo}\",\
-             \"issued\":5,\"cache_hits\":9,\"speculative_issued\":0,\"speculative_hits\":0,\
+             \"issued\":5,\"cache_hits\":9,\
              \"encode_hits\":5,\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":0,\"p50_ms\":0.000,\"p95_ms\":0.000,\
              \"p99_ms\":0.000,\"max_ms\":0.000,\"hist_total\":0,\"rows\":{rows},\
@@ -1821,7 +1738,7 @@ mod tests {
     fn fake_tail_run(p50: f64, p95: f64, p99: f64, max: f64, total: u64) -> String {
         format!(
             "{{\"scenario\":\"serve/latency-tail/x\",\"algo\":\"tail-hot\",\"issued\":0,\
-             \"cache_hits\":9,\"speculative_issued\":0,\"speculative_hits\":0,\
+             \"cache_hits\":9,\
              \"encode_hits\":5,\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":300,\"p50_ms\":{p50},\"p95_ms\":{p95},\
              \"p99_ms\":{p99},\"max_ms\":{max},\"hist_total\":{total},\"rows\":0,\
@@ -1845,7 +1762,7 @@ mod tests {
     ) -> String {
         format!(
             "{{\"scenario\":\"append/reselect/x\",\"algo\":\"{algo}\",\"issued\":{issued},\
-             \"cache_hits\":9,\"speculative_issued\":0,\"speculative_hits\":0,\
+             \"cache_hits\":9,\
              \"encode_hits\":5,\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":{req_bytes},\"p50_ms\":0.000,\"p95_ms\":0.000,\
              \"p99_ms\":0.000,\"max_ms\":0.000,\"hist_total\":0,\"rows\":1000,\
@@ -1867,12 +1784,10 @@ mod tests {
 
     fn valid_rows() -> Vec<String> {
         vec![
-            fake_run("gtest-batch/x", "grpsel-batched-par4", 10, (0, 0), 5, 0),
-            fake_run("gtest-batch/x", "grpsel-spec", 7, (5, 3), 5, 0),
-            fake_run("fisherz-batch/x", "grpsel-batched-par4", 12, (0, 0), 5, 0),
-            fake_run("fisherz-batch/x", "grpsel-spec", 8, (6, 4), 5, 0),
-            fake_run("serve/x", "serve-warm", 0, (0, 0), 5, 9000),
-            fake_run("serve/concurrent/x", "serve-warm-fp", 0, (0, 0), 5, 300),
+            fake_run("gtest-batch/x", "grpsel-batched-par4", 10, 5, 0),
+            fake_run("fisherz-batch/x", "grpsel-batched-par4", 12, 5, 0),
+            fake_run("serve/x", "serve-warm", 0, 5, 9000),
+            fake_run("serve/concurrent/x", "serve-warm-fp", 0, 5, 300),
             fake_scaling_run("gtest", "kernels-narrow", 1000, "abc1", 50, 40),
             fake_scaling_run("gtest", "kernels-reference", 1000, "abc1", 0, 40),
             fake_scaling_run("gtest", "kernels-narrow", 3000, "abc2", 150, 120),
@@ -1890,82 +1805,60 @@ mod tests {
     fn validator_requires_warm_serve_run() {
         validate_bench_json(&fake_doc(&valid_rows())).expect("fixture should validate");
         // No serve scenario.
-        let no_serve: Vec<String> = valid_rows().drain(..4).collect();
+        let no_serve: Vec<String> = valid_rows().drain(..2).collect();
         assert!(validate_bench_json(&fake_doc(&no_serve))
             .unwrap_err()
             .contains("serve-warm"));
         // Serve present but the warm run still issued tests.
         let mut stale = valid_rows();
-        stale[4] = fake_run("serve/x", "serve-warm", 4, (0, 0), 5, 9000);
+        stale[2] = fake_run("serve/x", "serve-warm", 4, 5, 9000);
         assert!(validate_bench_json(&fake_doc(&stale)).is_err());
     }
 
     #[test]
     fn validator_requires_tiny_warm_fp_requests() {
         // Missing the serve/concurrent fp row entirely.
-        let no_fp: Vec<String> = valid_rows().drain(..5).collect();
+        let no_fp: Vec<String> = valid_rows().drain(..3).collect();
         assert!(validate_bench_json(&fake_doc(&no_fp))
             .unwrap_err()
             .contains("serve-warm-fp"));
         // The fp wave issued tests: not warm.
         let mut cold = valid_rows();
-        cold[5] = fake_run("serve/concurrent/x", "serve-warm-fp", 3, (0, 0), 5, 300);
+        cold[3] = fake_run("serve/concurrent/x", "serve-warm-fp", 3, 5, 300);
         assert!(validate_bench_json(&fake_doc(&cold))
             .unwrap_err()
             .contains("issued"));
         // The fp request is megabyte-scale: the transport regressed.
         let mut fat = valid_rows();
-        fat[5] = fake_run("serve/concurrent/x", "serve-warm-fp", 0, (0, 0), 5, 900_000);
+        fat[3] = fake_run("serve/concurrent/x", "serve-warm-fp", 0, 5, 900_000);
         assert!(validate_bench_json(&fake_doc(&fat))
             .unwrap_err()
             .contains("bytes"));
     }
 
     #[test]
-    fn validator_enforces_speculation_conservation() {
-        // A spec run whose issued + hits disagree with the plain run.
-        let mut broken = valid_rows();
-        broken[1] = fake_run("gtest-batch/x", "grpsel-spec", 7, (5, 2), 5, 0);
-        assert!(validate_bench_json(&fake_doc(&broken))
-            .unwrap_err()
-            .contains("conservation"));
-        // A "speculative" run that never speculated.
-        let mut lazy = valid_rows();
-        lazy[1] = fake_run("gtest-batch/x", "grpsel-spec", 10, (0, 0), 5, 0);
-        assert!(validate_bench_json(&fake_doc(&lazy))
-            .unwrap_err()
-            .contains("never speculated"));
-        // Missing the spec row entirely.
-        let mut missing = valid_rows();
-        missing.remove(1);
-        assert!(validate_bench_json(&fake_doc(&missing))
-            .unwrap_err()
-            .contains("no grpsel-spec run"));
-    }
-
-    #[test]
     fn validator_requires_monotone_percentiles_and_tail_run() {
         // Missing the latency-tail row entirely.
         let mut no_tail = valid_rows();
-        no_tail.remove(12);
+        no_tail.remove(10);
         assert!(validate_bench_json(&fake_doc(&no_tail))
             .unwrap_err()
             .contains("latency-tail"));
         // Tail row present but its histogram never recorded anything.
         let mut empty = valid_rows();
-        empty[12] = fake_tail_run(0.0, 0.0, 0.0, 0.0, 0);
+        empty[10] = fake_tail_run(0.0, 0.0, 0.0, 0.0, 0);
         assert!(validate_bench_json(&fake_doc(&empty))
             .unwrap_err()
             .contains("latency-tail"));
         // Percentiles out of order: the document is corrupt.
         let mut bad = valid_rows();
-        bad[12] = fake_tail_run(2.0, 1.0, 3.0, 4.0, 6);
+        bad[10] = fake_tail_run(2.0, 1.0, 3.0, 4.0, 6);
         assert!(validate_bench_json(&fake_doc(&bad))
             .unwrap_err()
             .contains("monotone"));
         // p99 above max is just as corrupt.
         let mut above = valid_rows();
-        above[12] = fake_tail_run(0.5, 1.0, 5.0, 4.0, 6);
+        above[10] = fake_tail_run(0.5, 1.0, 5.0, 4.0, 6);
         assert!(validate_bench_json(&fake_doc(&above))
             .unwrap_err()
             .contains("monotone"));
@@ -1976,38 +1869,38 @@ mod tests {
         validate_bench_json(&fake_doc(&valid_rows())).expect("fixture should validate");
         // The extended re-select disagrees with the cold run's bits.
         let mut split = valid_rows();
-        split[14] = fake_append_run("append-reselect", "bb22", 200, 3, 2_000, 6, (0, 6));
+        split[12] = fake_append_run("append-reselect", "bb22", 200, 3, 2_000, 6, (0, 6));
         assert!(validate_bench_json(&fake_doc(&split))
             .unwrap_err()
             .contains("disagrees"));
         // A warm row that never recorded appended rows.
         let mut none_appended = valid_rows();
-        none_appended[14] = fake_append_run("append-reselect", "aa11", 0, 3, 2_000, 6, (0, 6));
+        none_appended[12] = fake_append_run("append-reselect", "aa11", 0, 3, 2_000, 6, (0, 6));
         assert!(validate_bench_json(&fake_doc(&none_appended))
             .unwrap_err()
             .contains("appended no rows"));
         // A warm row that rebuilt every encoding instead of extending.
         let mut rebuilt = valid_rows();
-        rebuilt[14] = fake_append_run("append-reselect", "aa11", 200, 0, 2_000, 6, (0, 6));
+        rebuilt[12] = fake_append_run("append-reselect", "aa11", 200, 0, 2_000, 6, (0, 6));
         assert!(validate_bench_json(&fake_doc(&rebuilt))
             .unwrap_err()
             .contains("reused no encodings"));
         // The streaming client re-shipped as much as the cold one.
         let mut fat = valid_rows();
-        fat[14] = fake_append_run("append-reselect", "aa11", 200, 3, 50_000, 6, (0, 6));
+        fat[12] = fake_append_run("append-reselect", "aa11", 200, 3, 50_000, 6, (0, 6));
         assert!(validate_bench_json(&fake_doc(&fat))
             .unwrap_err()
             .contains("wire cost"));
         // A warm row with no cold twin to compare against.
         let mut orphan = valid_rows();
-        orphan.remove(13);
+        orphan.remove(11);
         assert!(validate_bench_json(&fake_doc(&orphan))
             .unwrap_err()
             .contains("no reselect-cold twin"));
         // No append rows at all (the lone patched row does not count as
         // an invalidate-all baseline).
         let mut missing = valid_rows();
-        missing.drain(13..15);
+        missing.drain(11..13);
         assert!(validate_bench_json(&fake_doc(&missing))
             .unwrap_err()
             .contains("no append/reselect runs"));
@@ -2018,40 +1911,40 @@ mod tests {
         validate_bench_json(&fake_doc(&valid_rows())).expect("fixture should validate");
         // The patched re-select disagrees with the cold run's bits.
         let mut split = valid_rows();
-        split[15] = fake_append_run("append-reselect-patched", "bb22", 200, 3, 2_000, 2, (5, 1));
+        split[13] = fake_append_run("append-reselect-patched", "bb22", 200, 3, 2_000, 2, (5, 1));
         assert!(validate_bench_json(&fake_doc(&split))
             .unwrap_err()
             .contains("disagrees"));
         // A "patched" row that never patched a memo.
         let mut unpatched = valid_rows();
-        unpatched[15] =
+        unpatched[13] =
             fake_append_run("append-reselect-patched", "aa11", 200, 3, 2_000, 2, (0, 6));
         assert!(validate_bench_json(&fake_doc(&unpatched))
             .unwrap_err()
             .contains("patched no memos"));
         // Patched + invalidated no longer covers the baseline's memo.
         let mut leaky = valid_rows();
-        leaky[15] = fake_append_run("append-reselect-patched", "aa11", 200, 3, 2_000, 2, (5, 0));
+        leaky[13] = fake_append_run("append-reselect-patched", "aa11", 200, 3, 2_000, 2, (5, 0));
         assert!(validate_bench_json(&fake_doc(&leaky))
             .unwrap_err()
             .contains("not conserved"));
         // The baseline claims patched memos: it is not an invalidate-all
         // baseline and the comparison is meaningless.
         let mut fake_baseline = valid_rows();
-        fake_baseline[14] = fake_append_run("append-reselect", "aa11", 200, 3, 2_000, 6, (1, 5));
+        fake_baseline[12] = fake_append_run("append-reselect", "aa11", 200, 3, 2_000, 6, (1, 5));
         assert!(validate_bench_json(&fake_doc(&fake_baseline))
             .unwrap_err()
             .contains("baseline claims"));
         // Patching saved no issued work over invalidate-all.
         let mut no_saving = valid_rows();
-        no_saving[15] =
+        no_saving[13] =
             fake_append_run("append-reselect-patched", "aa11", 200, 3, 2_000, 6, (5, 1));
         assert!(validate_bench_json(&fake_doc(&no_saving))
             .unwrap_err()
             .contains("not under the invalidate-all baseline"));
         // No patched row at all.
         let mut missing = valid_rows();
-        missing.remove(15);
+        missing.remove(13);
         assert!(validate_bench_json(&fake_doc(&missing))
             .unwrap_err()
             .contains("no append-reselect-patched runs"));
@@ -2131,32 +2024,32 @@ mod tests {
         validate_bench_json(&fake_doc(&valid_rows())).expect("fixture should validate");
         // The two kernels of one scenario disagree on outcome bits.
         let mut split = valid_rows();
-        split[7] = fake_scaling_run("gtest", "kernels-reference", 1000, "deadbeef", 0, 40);
+        split[5] = fake_scaling_run("gtest", "kernels-reference", 1000, "deadbeef", 0, 40);
         assert!(validate_bench_json(&fake_doc(&split))
             .unwrap_err()
             .contains("disagree"));
         // Row counts regress within an algo.
         let mut shrunk = valid_rows();
-        shrunk[8] = fake_scaling_run("gtest", "kernels-narrow", 500, "abc9", 150, 120);
-        shrunk[9] = fake_scaling_run("gtest", "kernels-reference", 500, "abc9", 0, 120);
+        shrunk[6] = fake_scaling_run("gtest", "kernels-narrow", 500, "abc9", 150, 120);
+        shrunk[7] = fake_scaling_run("gtest", "kernels-reference", 500, "abc9", 0, 120);
         assert!(validate_bench_json(&fake_doc(&shrunk))
             .unwrap_err()
             .contains("ascending"));
         // A narrow G-test row that never touched a dense arena.
         let mut hashed = valid_rows();
-        hashed[6] = fake_scaling_run("gtest", "kernels-narrow", 1000, "abc1", 0, 40);
+        hashed[4] = fake_scaling_run("gtest", "kernels-narrow", 1000, "abc1", 0, 40);
         assert!(validate_bench_json(&fake_doc(&hashed))
             .unwrap_err()
             .contains("dense"));
         // A row with no outcome digest at all.
         let mut blank = valid_rows();
-        blank[10] = fake_scaling_run("fisherz", "kernels-blocked", 1000, "", 0, 0);
+        blank[8] = fake_scaling_run("fisherz", "kernels-blocked", 1000, "", 0, 0);
         assert!(validate_bench_json(&fake_doc(&blank))
             .unwrap_err()
             .contains("pvalue_hash"));
         // No rows-scaling rows anywhere.
         let mut none = valid_rows();
-        none.drain(6..12);
+        none.drain(4..10);
         assert!(validate_bench_json(&fake_doc(&none))
             .unwrap_err()
             .contains("rows-scaling"));
@@ -2236,5 +2129,11 @@ mod tests {
                     \"algo\":\"grpsel-batched-par4\",\"issued\":3,\"encode_hits\":0,\
                     \"encode_misses\":9,\"wall_ms\":1.0}]}";
         assert!(validate_bench_json(cold).is_err());
+        // No Fisher-z data-tester run.
+        let mut no_fisherz = valid_rows();
+        no_fisherz.remove(1);
+        assert!(validate_bench_json(&fake_doc(&no_fisherz))
+            .unwrap_err()
+            .contains("fisherz-batch: no grpsel-batched-par run"));
     }
 }

@@ -47,7 +47,7 @@ USAGE:
   fairsel select  --csv <file.csv> [--algo seqsel|grpsel] [--tester gtest|fisherz]
                   [--dag <graph.txt>] [--alpha F]
                   [--classifier logistic|tree|forest|adaboost|nb]
-                  [--workers N] [--max-group N|auto] [--speculate true|false]
+                  [--workers N] [--max-group N|auto]
                   [--train-frac F] [--seed N]
                   [--cache-cap N] [--stats-out <file.json>]
                   [--report-out <file.txt>] [--remote <host:port>]
@@ -77,10 +77,7 @@ over the appended rows, not rebuilt.
 `select` runs the full pipeline — GrpSel frontiers partitioned by
 conditioning set and evaluated through the Z-grouped scheduler on a
 persistent worker pool — and prints selection, fairness report, and
-engine telemetry (encode-cache reuse, speculation counters).
-`--speculate true` issues each frontier level's predictable follow-up
-queries ahead of demand (selections are byte-identical either way; the
-speculative_* counters measure the policy). `methods` sweeps the
+engine telemetry (encode-cache reuse, batch counts). `methods` sweeps the
 baseline pipelines (a-only, all, seqsel, grpsel, fair-pc) on one split;
 with --remote the sweep runs inside the server's shared per-dataset
 session and reports post-dedup test counts.
@@ -117,7 +114,11 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(rest) {
+    let Some(known) = known_flags(cmd) else {
+        eprintln!("error: unknown command: {cmd}\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match Opts::parse(cmd, rest, known) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -132,11 +133,11 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&opts),
         "stats" => cmd_stats(&opts),
         "trace" => cmd_trace(&opts),
-        "help" | "--help" | "-h" => {
+        // help / --help / -h: `known_flags` turned away every other command.
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command: {other}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -147,19 +148,79 @@ fn main() -> ExitCode {
     }
 }
 
+/// Flags read by `load_workload` and `workload_request`, shared by
+/// `select` and `methods`.
+const WORKLOAD_FLAGS: &[&str] = &[
+    "csv",
+    "train-frac",
+    "seed",
+    "algo",
+    "classifier",
+    "workers",
+    "max-group",
+    "tester",
+    "alpha",
+    "remote",
+    "dag",
+];
+
+/// The flags `cmd` reads (`None` for an unknown command). Any other flag
+/// is rejected before the command runs, so a misspelled option cannot
+/// silently fall back to its default.
+fn known_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match cmd {
+        "gen" => &[
+            "out",
+            "rows",
+            "seed",
+            "strength",
+            "synthetic",
+            "biased",
+            "fixture",
+            "append-batches",
+            "batch-rows",
+        ],
+        "select" => &["cache-cap", "report-out", "stats-out"],
+        "methods" | "help" | "--help" | "-h" => &[],
+        "append" => &["remote", "csv", "fp", "base"],
+        "serve" => &[
+            "addr",
+            "cache-cap",
+            "max-datasets",
+            "conn-workers",
+            "max-conns",
+            "trace",
+        ],
+        "stats" => &["remote", "prom", "watch", "iters"],
+        "trace" => &["remote", "last", "trace-out"],
+        _ => return None,
+    };
+    let shared: &[&str] = match cmd {
+        "select" | "methods" => WORKLOAD_FLAGS,
+        _ => &[],
+    };
+    Some([shared, own].concat())
+}
+
 /// Parsed `--key value` options.
 struct Opts {
     pairs: Vec<(String, String)>,
+    /// The flags the command reads; `get` of any other is a bug.
+    known: Vec<&'static str>,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parse `args` for `cmd`, rejecting any flag not in `known`.
+    fn parse(cmd: &str, args: &[String], known: Vec<&'static str>) -> Result<Opts, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter().peekable();
         while let Some(k) = it.next() {
             let key = k
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {k}"))?;
+            if !known.contains(&key) {
+                return Err(format!("unknown flag --{key} for {cmd}"));
+            }
             // A flag followed by another flag (or by nothing) is a bare
             // boolean: `--prom` reads as `--prom true`.
             let val = match it.peek() {
@@ -168,10 +229,11 @@ impl Opts {
             };
             pairs.push((key.to_owned(), val));
         }
-        Ok(Opts { pairs })
+        Ok(Opts { pairs, known })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(self.known.contains(&key), "--{key} is not in the flag list");
         self.pairs
             .iter()
             .rev()
@@ -346,11 +408,9 @@ fn load_workload(opts: &Opts) -> Result<Workload, String> {
                 })?,
         ),
     };
-    let speculate: bool = opts.num("speculate", false)?;
     let cfg = PipelineConfig {
         select: SelectConfig {
             max_group,
-            speculate,
             ..SelectConfig::default()
         },
         algo,
@@ -446,10 +506,10 @@ fn workload_request(opts: &Opts) -> Result<WorkloadRequest, String> {
         alpha: opts.num("alpha", 0.01)?,
         workers: opts.num("workers", default_workers())?,
         max_group,
-        speculate: opts.num("speculate", false)?,
         train_frac: opts.num("train-frac", 0.7)?,
         seed: opts.num("seed", 0)?,
         classifier: opts.get("classifier").unwrap_or("logistic").to_owned(),
+        ..WorkloadRequest::default()
     })
 }
 
@@ -884,14 +944,8 @@ fn print_engine_stats(stats: &EngineStats, workers: usize) {
     println!("cache hits                  {}", stats.cache_hits);
     println!("dedup rate                  {:.4}", stats.dedup_rate());
     println!(
-        "batches (par/batched/grp)   {} ({}/{}/{})",
-        stats.batches, stats.parallel_batches, stats.batched_batches, stats.grouped_batches
-    );
-    println!(
-        "speculative issued/hits     {}/{} (wasted {})",
-        stats.speculative_issued,
-        stats.speculative_hits,
-        stats.speculative_wasted()
+        "batches (par/grp)           {} ({}/{})",
+        stats.batches, stats.parallel_batches, stats.grouped_batches
     );
     println!(
         "encode cache hits/misses    {}/{} (evictions {})",
@@ -931,7 +985,7 @@ mod tests {
         let args: Vec<String> = ["--csv", path.to_str().unwrap(), "--tester", tester]
             .map(String::from)
             .to_vec();
-        let opts = Opts::parse(&args).unwrap();
+        let opts = Opts::parse("select", &args, known_flags("select").unwrap()).unwrap();
         let errors = [cmd_select as Cmd, cmd_methods]
             .iter()
             .map(|cmd| cmd(&opts).expect_err("command must fail"))
@@ -960,6 +1014,24 @@ mod tests {
         for e in run_both("gtest_num", &numeric_csv(usize::MAX, ""), "gtest") {
             assert!(e.contains("column x is numeric"), "{e}");
         }
+    }
+
+    /// A flag the command does not read is an error, not a silent
+    /// default: a misspelling, a removed flag, and a flag of another
+    /// command.
+    #[test]
+    fn unknown_flag_is_an_error() {
+        for (cmd, args, flag) in [
+            ("select", "--csv g.csv --max-grup 2", "max-grup"),
+            ("select", "--csv g.csv --speculate true", "speculate"),
+            ("methods", "--csv g.csv --stats-out s.json", "stats-out"),
+            ("serve", "--csv g.csv", "csv"),
+        ] {
+            let args: Vec<String> = args.split(' ').map(String::from).collect();
+            let err = Opts::parse(cmd, &args, known_flags(cmd).unwrap()).err();
+            assert_eq!(err, Some(format!("unknown flag --{flag} for {cmd}")));
+        }
+        assert!(known_flags("selekt").is_none());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use baselines::{
     render_methods_report, run_all_methods, run_all_methods_in, run_method, Method, MethodOutput,
     TesterSpec,
 };
-pub use grpsel::{grpsel, grpsel_batched, grpsel_batched_in, grpsel_in, grpsel_seeded};
+pub use grpsel::{grpsel, grpsel_batched, grpsel_batched_in, grpsel_in};
 pub use oracle::{theorem1_classification, GroundTruth};
 pub use pipeline::{
     render_pipeline_report, run_pipeline, run_pipeline_batched, run_pipeline_batched_in,

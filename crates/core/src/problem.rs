@@ -91,28 +91,6 @@ pub struct SelectConfig {
     /// group's joint code space below the sample size. Oracle testers
     /// don't need this (group answers are exact at any width).
     pub max_group: Option<usize>,
-    /// Speculative frontier scheduling for GrpSel's batched execution
-    /// path: alongside each frontier level's demanded queries, issue the
-    /// *predictable* follow-up work — the remaining `∃A′ ⊆ A` waves of the
-    /// current groups and every non-singleton group's halves — in the same
-    /// dispatch, so idle workers pre-warm the session cache. Selections
-    /// are byte-identical with speculation on or off (speculative answers
-    /// are the same deterministic outcomes, computed earlier); the cost
-    /// and benefit are measured by the engine's `speculative_issued` /
-    /// `speculative_hits` / `speculative_wasted` counters. Ignored by
-    /// SeqSel and by the non-batched execution paths.
-    pub speculate: bool,
-    /// Adaptive gate on top of [`SelectConfig::speculate`]: skip a
-    /// level's speculative wave when the session's observed waste rate
-    /// (`speculative_wasted / speculative_issued`) says prediction isn't
-    /// paying for itself, or when there are no idle workers to absorb
-    /// the ride-along (`workers <= 1`). Selections stay byte-identical —
-    /// the gate only changes *when* predictable work is computed, never
-    /// what is answered — and the conservation law
-    /// `issued + speculative_hits == issued_without_speculation` holds
-    /// regardless. Off by default so ungated runs keep exercising the
-    /// speculation ledger.
-    pub adaptive_speculation: bool,
 }
 
 impl Default for SelectConfig {
@@ -121,8 +99,6 @@ impl Default for SelectConfig {
             max_admissible_subset: usize::MAX,
             admissible_guard: 12,
             max_group: None,
-            speculate: false,
-            adaptive_speculation: false,
         }
     }
 }

@@ -23,21 +23,15 @@
 //!     (stratification, ridge factorization, standardized conditioning
 //!     block) is built once per distinct set; with workers the groups
 //!     become steal-able chunks on the session's persistent
-//!     [`WorkerPool`], and *speculative* ride-along queries pre-warm the
-//!     cache under dedicated accounting (`speculative_issued` /
-//!     `speculative_hits`, with `issued + speculative_hits` conserved
-//!     against a speculation-free run). The tester's encode-cache
-//!     telemetry surfaces as `encode_cache_hits` / `encode_cache_misses`
-//!     in [`EngineStats`];
+//!     [`WorkerPool`]. The tester's encode-cache telemetry surfaces as
+//!     `encode_cache_hits` / `encode_cache_misses` in [`EngineStats`];
 //! * [`EngineStats`] tracks per-session and per-phase telemetry (queries
 //!   requested, tests actually issued, cache hits, dedup rate, wall time)
 //!   and serializes to JSON for the `BENCH_*.json` trajectories;
-//! * [`HalvingPlanner`] / [`exists_certificate`] surface GrpSel's
-//!   recursive halving as level-synchronous *frontiers* of independent
-//!   group queries — the shape the batch scheduler can actually exploit —
-//!   while issuing exactly the query set the depth-first recursion would;
-//!   [`HalvingPlanner::speculative_halves`] names the next level's
-//!   predictable queries for the speculative scheduler.
+//! * [`HalvingPlanner`] / [`exists_with`] surface GrpSel's recursive
+//!   halving as level-synchronous *frontiers* of independent group
+//!   queries — the shape the batch scheduler can actually exploit — while
+//!   issuing exactly the query set the depth-first recursion would.
 
 pub mod exec;
 pub mod key;
@@ -47,8 +41,6 @@ pub mod session;
 
 pub use exec::default_workers;
 pub use key::{CiQuery, QueryKey};
-pub use planner::{
-    exists_certificate, exists_with, exists_with_spec, FrontierOutcome, HalvingPlanner,
-};
+pub use planner::{exists_with, FrontierOutcome, HalvingPlanner};
 pub use pool::WorkerPool;
 pub use session::{CiSession, EngineStats, PhaseStats};

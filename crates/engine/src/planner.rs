@@ -14,8 +14,7 @@
 //! the order changes — so test counts and selections are preserved.
 
 use crate::key::CiQuery;
-use crate::session::CiSession;
-use fairsel_ci::{CiOutcome, CiTest, VarId};
+use fairsel_ci::{CiOutcome, VarId};
 
 /// Result of advancing the frontier one level.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -74,23 +73,6 @@ impl HalvingPlanner {
         self.levels
     }
 
-    /// The groups the *next* frontier will contain for every current
-    /// group whose test fails: its left and right halves, in frontier
-    /// order. These are the predictable queries a speculative scheduler
-    /// can issue while the current level evaluates — if a group passes,
-    /// its halves' answers are wasted work; if it fails, the next level
-    /// is already cached. Groups of one have no halves (they exhaust).
-    pub fn speculative_halves(&self) -> Vec<Vec<VarId>> {
-        self.frontier
-            .iter()
-            .filter(|g| g.len() > 1)
-            .flat_map(|g| {
-                let mid = g.len() / 2;
-                [g[..mid].to_vec(), g[mid..].to_vec()]
-            })
-            .collect()
-    }
-
     /// Consume one verdict per frontier group (`true` = the group's test
     /// passed). Passing groups are admitted whole; failing singletons are
     /// exhausted; failing larger groups are split at the midpoint into the
@@ -130,20 +112,9 @@ impl HalvingPlanner {
 /// Alternatives are issued as waves: wave `k` batches the `k`-th
 /// alternative for every still-undecided group, so a group certified early
 /// is never queried again — the same early-exit the sequential `∃A' ⊆ A`
-/// loop has, but with each wave being one engine batch.
-pub fn exists_certificate<T: CiTest>(
-    session: &mut CiSession<T>,
-    groups: &[Vec<VarId>],
-    target: &[VarId],
-    alternatives: &[Vec<VarId>],
-) -> Vec<bool> {
-    exists_with(groups, target, alternatives, |qs| session.run_batch(qs))
-}
-
-/// The wave engine behind [`exists_certificate`], generic over how a
-/// batch is executed — callers with their own dispatch (e.g. GrpSel
-/// choosing the sequential or Z-grouped executor per run) plug in a
-/// closure.
+/// loop has, but with each wave being one engine batch. `run` executes a
+/// wave, so callers pick the executor (e.g. GrpSel choosing the sequential
+/// or Z-grouped one per run).
 pub fn exists_with<F>(
     groups: &[Vec<VarId>],
     target: &[VarId],
@@ -152,25 +123,6 @@ pub fn exists_with<F>(
 ) -> Vec<bool>
 where
     F: FnMut(&[CiQuery]) -> Vec<CiOutcome>,
-{
-    exists_with_spec(groups, target, alternatives, &[], |qs, _| run(qs))
-}
-
-/// [`exists_with`] with speculation: the closure receives the wave's
-/// demanded queries *and* a list of speculative extras to evaluate in the
-/// same dispatch. `speculative` — typically the later waves of this
-/// frontier plus the next level's halves — rides with wave 0 only; later
-/// waves then resolve from cache. The demanded query stream (and hence
-/// the certification result) is exactly that of [`exists_with`].
-pub fn exists_with_spec<F>(
-    groups: &[Vec<VarId>],
-    target: &[VarId],
-    alternatives: &[Vec<VarId>],
-    speculative: &[CiQuery],
-    mut run: F,
-) -> Vec<bool>
-where
-    F: FnMut(&[CiQuery], &[CiQuery]) -> Vec<CiOutcome>,
 {
     let mut certified = vec![false; groups.len()];
     let mut undecided: Vec<usize> = (0..groups.len()).collect();
@@ -182,15 +134,13 @@ where
             .iter()
             .map(|&g| CiQuery::new(&groups[g], target, alt))
             .collect();
-        let spec = if wave == 0 { speculative } else { &[] };
         let _sp = fairsel_obs::span_kv("planner.level", || {
             vec![
                 ("wave", wave.to_string()),
                 ("undecided", batch.len().to_string()),
-                ("speculative", spec.len().to_string()),
             ]
         });
-        let outcomes = run(&batch, spec);
+        let outcomes = run(&batch);
         let mut still = Vec::with_capacity(undecided.len());
         for (&g, out) in undecided.iter().zip(&outcomes) {
             if out.independent {
@@ -207,7 +157,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairsel_ci::CiOutcome;
+    use crate::session::CiSession;
+    use fairsel_ci::CiTest;
 
     /// Group passes iff it contains no "bad" member.
     struct BadSetCi {
@@ -298,7 +249,7 @@ mod tests {
         });
         let groups = vec![vec![1], vec![2], vec![3]];
         let alts = vec![vec![], vec![50]];
-        let got = exists_certificate(&mut session, &groups, &[99], &alts);
+        let got = exists_with(&groups, &[99], &alts, |qs| session.run_batch(qs));
         assert_eq!(got, vec![true; 3]);
         assert_eq!(session.stats().issued, 3, "second alternative never tried");
     }
@@ -313,7 +264,7 @@ mod tests {
         });
         let groups = vec![vec![1], vec![2], vec![3]];
         let alts = vec![vec![], vec![50]];
-        let got = exists_certificate(&mut session, &groups, &[99], &alts);
+        let got = exists_with(&groups, &[99], &alts, |qs| session.run_batch(qs));
         assert_eq!(got, vec![false, true, true]);
         // Wave 0: three queries; wave 1: only the undecided [1].
         assert_eq!(session.stats().issued, 4);

@@ -170,9 +170,9 @@ pub struct WorkloadRequest {
     pub alpha: f64,
     pub workers: usize,
     pub max_group: MaxGroupSpec,
-    /// Speculative frontier scheduling (`SelectConfig::speculate`) — an
-    /// execution knob: selections are byte-identical either way, so like
-    /// `workers` it does not shard the session registry.
+    /// Ignored: GrpSel runs demanded queries only. Kept so frames from
+    /// existing clients (the benchmark's among them) that still send
+    /// `"speculate"` parse and round-trip.
     pub speculate: bool,
     pub train_frac: f64,
     pub seed: u64,

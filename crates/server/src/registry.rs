@@ -637,7 +637,6 @@ pub fn pipeline_config(req: &WorkloadRequest, train_rows: usize) -> Result<Pipel
     Ok(PipelineConfig {
         select: SelectConfig {
             max_group,
-            speculate: req.speculate,
             ..SelectConfig::default()
         },
         algo,

@@ -534,8 +534,8 @@ mod grouped_equivalence {
     //! (`run_batch_grouped`) at workers 1/2/4/8 — returns outcomes
     //! **byte-identical** to sequential per-query `ci_shared`, on
     //! workloads with duplicated and symmetrically-respelled conditioning
-    //! sets; and GrpSel selections are byte-identical with speculation on
-    //! or off, with `issued` conserved.
+    //! sets; and GrpSel selections and `issued` are identical at every
+    //! worker count.
 
     use fairsel_ci::{
         CiOutcome, CiQueryRef, CiTestBatch, FisherZ, GTest, PermutationCmi, Rcit, VarId,
@@ -650,7 +650,7 @@ mod grouped_equivalence {
         for workers in [1usize, 2, 4, 8] {
             let t = make();
             let mut session = CiSession::new(&t);
-            let got = session.run_batch_grouped(queries, &[], workers);
+            let got = session.run_batch_grouped(queries, workers);
             assert_eq!(
                 reference, got,
                 "{label}: grouped scheduler (workers={workers}) diverged"
@@ -704,39 +704,26 @@ mod grouped_equivalence {
         assert_grouped_equivalence(|| GTest::new(&table, 0.01), &queries, "g-test/wide");
     }
 
-    /// Speculation on/off: byte-identical selections at every worker
-    /// count, and exact conservation of issued work
-    /// (`issued_spec + speculative_hits == issued_plain`).
+    /// Z-grouped GrpSel on real data: byte-identical selections and
+    /// exactly the same issued work at every worker count.
     #[test]
-    fn speculation_preserves_selections_and_conserves_issued() {
+    fn grpsel_selections_and_issued_agree_across_workers() {
         let table = sampled(73, 20, 1500);
         let problem = Problem::from_table(&table);
-        let base_cfg = SelectConfig {
+        let cfg = SelectConfig {
             max_group: Some(5),
             ..Default::default()
         };
         let mut plain_session = CiSession::new(GTest::new(&table, 0.01));
-        let plain = grpsel_batched_in(&mut plain_session, &problem, &base_cfg, None, 1);
+        let plain = grpsel_batched_in(&mut plain_session, &problem, &cfg, None, 1);
         let plain_issued = plain_session.stats().issued;
-        assert_eq!(plain_session.stats().speculative_issued, 0);
-
-        let spec_cfg = SelectConfig {
-            speculate: true,
-            ..base_cfg.clone()
-        };
-        for workers in [1usize, 4, 8] {
+        for workers in [4usize, 8] {
             let mut session = CiSession::new(GTest::new(&table, 0.01));
-            let got = grpsel_batched_in(&mut session, &problem, &spec_cfg, None, workers);
+            let got = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
             assert_eq!(plain.c1, got.c1, "workers {workers}");
             assert_eq!(plain.c2, got.c2, "workers {workers}");
             assert_eq!(plain.rejected, got.rejected, "workers {workers}");
-            let stats = session.stats();
-            assert!(stats.speculative_issued > 0, "workers {workers}");
-            assert_eq!(
-                stats.issued + stats.speculative_hits,
-                plain_issued,
-                "workers {workers}: speculation must conserve issued work"
-            );
+            assert_eq!(session.stats().issued, plain_issued, "workers {workers}");
         }
     }
 }
@@ -820,7 +807,7 @@ mod kernel_identity {
         workers: usize,
     ) -> Vec<CiOutcome> {
         let mut session = CiSession::new(t);
-        session.run_batch_grouped(queries, &[], workers)
+        session.run_batch_grouped(queries, workers)
     }
 
     fn assert_bits(a: &[CiOutcome], b: &[CiOutcome], label: &str) {
@@ -1449,6 +1436,60 @@ mod server_equivalence {
 
         handle.shutdown();
     }
+
+    /// `speculate` is a kept wire field with no effect: a cold `select`
+    /// frame with `"speculate":true` gets the same report and the same
+    /// engine stats as the frame with `false` (wall times aside).
+    #[test]
+    fn speculate_field_is_a_no_op() {
+        let csv_text = workload_csv(7, 14, 900);
+        let serve = |speculate: bool| {
+            let req = Request::Select(WorkloadRequest {
+                speculate,
+                ..WorkloadRequest::with_csv(csv_text.clone())
+            });
+            let frame = req.to_json().to_string();
+            assert!(
+                frame.contains(&format!("\"speculate\":{speculate}")),
+                "{frame}"
+            );
+            // A fresh server per frame, so both selects run cold.
+            let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+            let addr = server.local_addr().to_string();
+            let handle = server.spawn();
+            let resp = request(&addr, &req).expect("select");
+            handle.shutdown();
+            let Response::Ok {
+                body,
+                stats: Some(stats),
+                ..
+            } = resp
+            else {
+                panic!("select failed: {resp:?}");
+            };
+            (body, zero_wall_times(&stats.to_string()))
+        };
+        let (body_on, stats_on) = serve(true);
+        let (body_off, stats_off) = serve(false);
+        assert_eq!(body_on, body_off);
+        assert_eq!(stats_on, stats_off);
+        assert!(stats_on.contains("\"issued\":"), "{stats_on}");
+    }
+
+    /// `json` with every `"wall_ms"` value replaced by `0`.
+    fn zero_wall_times(json: &str) -> String {
+        let key = "\"wall_ms\":";
+        let mut out = String::new();
+        let mut rest = json;
+        while let Some(at) = rest.find(key) {
+            out.push_str(&rest[..at + key.len()]);
+            out.push('0');
+            rest = &rest[at + key.len()..];
+            rest = &rest[rest.find([',', '}']).unwrap_or(rest.len())..];
+        }
+        out.push_str(rest);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -1763,10 +1804,7 @@ mod observability {
         cache_hits: u64,
         batches: u64,
         parallel_batches: u64,
-        batched_batches: u64,
         grouped_batches: u64,
-        speculative_issued: u64,
-        speculative_hits: u64,
         max_batch: usize,
         encode_cache_hits: u64,
         encode_cache_misses: u64,
@@ -1781,10 +1819,7 @@ mod observability {
             cache_hits: s.cache_hits,
             batches: s.batches,
             parallel_batches: s.parallel_batches,
-            batched_batches: s.batched_batches,
             grouped_batches: s.grouped_batches,
-            speculative_issued: s.speculative_issued,
-            speculative_hits: s.speculative_hits,
             max_batch: s.max_batch,
             encode_cache_hits: s.encode_cache_hits,
             encode_cache_misses: s.encode_cache_misses,
@@ -2139,7 +2174,7 @@ mod streaming_append {
         label: &str,
     ) {
         let mut psession = CiSession::new(parent);
-        psession.run_batch_grouped(warm, &[], workers);
+        psession.run_batch_grouped(warm, workers);
         let memoized_before = psession.cache_len() as u64;
 
         let child_enc = Arc::new(parent_enc.extend(batch).expect("schema-compatible batch"));
@@ -2216,8 +2251,8 @@ mod streaming_append {
 
         // Probe: extended vs cold, bit-for-bit, same counters.
         let mut cold_session = CiSession::new(cold);
-        let got = ext.run_batch_grouped(probe, &[], workers);
-        let want = cold_session.run_batch_grouped(probe, &[], workers);
+        let got = ext.run_batch_grouped(probe, workers);
+        let want = cold_session.run_batch_grouped(probe, workers);
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
@@ -2397,7 +2432,7 @@ mod streaming_append {
                 tiny,
             ));
             let mut parent = CiSession::new(GTest::over(Arc::clone(&enc), 0.01));
-            parent.run_batch_grouped(&warm, &[], workers);
+            parent.run_batch_grouped(&warm, workers);
             let memoized_before = parent.cache_len() as u64;
 
             let child_enc = Arc::new(enc.extend(&batch).expect("compatible batch"));
@@ -2413,8 +2448,8 @@ mod streaming_append {
             let concat = base.concat(&batch).unwrap();
             let cold_enc = Arc::new(EncodedTable::from_arc_with_cap(Arc::new(concat), tiny));
             let mut cold = CiSession::new(GTest::over(cold_enc, 0.01));
-            let got = ext.run_batch_grouped(&probe, &[], workers);
-            let want = cold.run_batch_grouped(&probe, &[], workers);
+            let got = ext.run_batch_grouped(&probe, workers);
+            let want = cold.run_batch_grouped(&probe, workers);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
                     g.p_value.to_bits(),
@@ -2447,7 +2482,7 @@ mod streaming_append {
             DEFAULT_CACHE_CAP,
         ));
         let mut parent = CiSession::new(GTest::over(Arc::clone(&enc), 0.01));
-        parent.run_batch_grouped(&warm, &[], 2);
+        parent.run_batch_grouped(&warm, 2);
         let memoized_before = parent.cache_len() as u64;
         let parent_fp = parent.outcomes_fingerprint();
 
@@ -2461,7 +2496,7 @@ mod streaming_append {
         assert!(birth.memos_conserved());
         assert_eq!(ext.cache_len(), 0, "patched outcomes park until demanded");
 
-        ext.run_batch_grouped(&warm, &[], 2);
+        ext.run_batch_grouped(&warm, 2);
         let es = ext.stats();
         assert_eq!(es.issued, 0, "n unchanged: nothing may be re-issued");
         assert_eq!(es.memo_patch_hits, memoized_before);
@@ -2520,8 +2555,7 @@ mod serialization_order {
     fn engine_stats_json_bytes_are_pinned() {
         let expected = concat!(
             "{\"requested\":0,\"issued\":0,\"cache_hits\":0,\"batches\":0,",
-            "\"parallel_batches\":0,\"batched_batches\":0,\"grouped_batches\":0,",
-            "\"speculative_issued\":0,\"speculative_hits\":0,\"speculative_wasted\":0,",
+            "\"parallel_batches\":0,\"grouped_batches\":0,",
             "\"max_batch\":0,\"dedup_rate\":0,\"wall_ms\":0,",
             "\"encode_cache_hits\":0,\"encode_cache_misses\":0,",
             "\"encode_cache_evictions\":0,\"narrow_code_bytes\":0,",
