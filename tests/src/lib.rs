@@ -2616,10 +2616,16 @@ mod golden_pins {
     //! same partition and the same CI-test count.
 
     use fairsel_ci::{CiTest, CiTestBatch, FisherZ, GTest, OracleCi, PermutationCmi, Rcit};
-    use fairsel_core::{grpsel_batched_in, grpsel_in, Problem, SelectConfig, Selection};
+    use fairsel_core::{
+        grpsel_batched_in, grpsel_in, render_methods_report, render_pipeline_report,
+        run_all_methods, run_pipeline_batched, ClassifierKind, PipelineConfig, Problem,
+        SelectConfig, Selection, SelectionAlgo, TesterSpec,
+    };
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_engine::CiSession;
+    use fairsel_ml::{Classifier, Featurizer, LogisticRegression};
+    use fairsel_server::registry::StableHash;
     use fairsel_table::{EncodedTable, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -2809,6 +2815,126 @@ mod golden_pins {
             (child.outcomes_fingerprint(), sel.tests_used),
             APPEND_CHILD,
             "append: warm child"
+        );
+    }
+
+    /// Logistic fits on the featurized pin table: `(to_bits of every
+    /// weight, to_bits of the intercept)`, unweighted and with the
+    /// deterministic sample weights of [`pin_sample_weights`]. Generated
+    /// at commit 73a9211 (the scalar IRLS loop) on x86_64 Linux.
+    const LOGISTIC_UNWEIGHTED: (&[u64], u64) = (
+        &[
+            13836183068213426371,
+            4613421105905836862,
+            4613455756734625955,
+            4597971387383940403,
+            13808971041025638963,
+            4600463467579921863,
+            4599854938031539797,
+            4587159450365387891,
+            13818828553354729927,
+            13811827260472246790,
+            13824455570947824074,
+            13835198929206539683,
+            4611762910095322091,
+        ],
+        13833804879547929430,
+    );
+    const LOGISTIC_WEIGHTED: (&[u64], u64) = (
+        &[
+            13836525679239200088,
+            4613134963508593556,
+            4613483143209232918,
+            4580578061268265815,
+            13803401334998397644,
+            4599724895859499852,
+            4599205163177397369,
+            13815519473180713928,
+            13818353558502744435,
+            4586266383100496183,
+            13822385412987251383,
+            13834984542000177736,
+            4611799650466265798,
+        ],
+        13832762460418291335,
+    );
+    /// Stable hashes of the rendered logistic `select` report and of the
+    /// rendered `methods` report on the pin table's split, generated at
+    /// the same commit.
+    const SELECT_REPORT: u64 = 4877006844021959583;
+    const METHODS_REPORT: u64 = 8089671254735119516;
+    /// Stable hash of the `{:?}` form of those runs' `FairnessReport`s
+    /// (select first, then the methods in order): the exact metric bits.
+    const REPORT_BITS: u64 = 14650691524530348708;
+
+    fn pin_sample_weights(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 0.5 + 0.25 * (i % 7) as f64).collect()
+    }
+
+    fn fit_bits(weights: Option<&[f64]>) -> (Vec<u64>, u64) {
+        let t = table(ROWS);
+        let problem = Problem::from_table(&t);
+        let mut cols = problem.admissible.clone();
+        cols.extend(&problem.features);
+        cols.sort_unstable();
+        let x = Featurizer::fit(&t, &cols).transform(&t);
+        let y = t.col(problem.target).codes().expect("categorical target");
+        let mut lr = LogisticRegression::default_model();
+        lr.fit(&x, y, weights);
+        let w = lr.weights().iter().map(|v| v.to_bits()).collect();
+        (w, lr.intercept().to_bits())
+    }
+
+    #[test]
+    fn logistic_fit_bits_pinned() {
+        let (w, b) = fit_bits(None);
+        assert_eq!((w.as_slice(), b), LOGISTIC_UNWEIGHTED, "unweighted fit");
+        let sw = pin_sample_weights(ROWS);
+        let (w, b) = fit_bits(Some(&sw));
+        assert_eq!((w.as_slice(), b), LOGISTIC_WEIGHTED, "weighted fit");
+    }
+
+    fn report_hash(text: &str) -> u64 {
+        let mut h = StableHash::new();
+        h.bytes(text.as_bytes());
+        h.finish()
+    }
+
+    #[test]
+    fn rendered_reports_pinned() {
+        let split = table(ROWS).split_rows_stable(3, 0.7);
+        let (train, test) = (split.train, split.test);
+        let cfg = PipelineConfig {
+            select: auto_cfg(train.n_rows()),
+            algo: SelectionAlgo::GrpSel { seed: Some(3) },
+            classifier: ClassifierKind::Logistic,
+            workers: 2,
+            model_seed: 3,
+        };
+        let out = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &cfg);
+        let select = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        let spec = TesterSpec::GTest { alpha: 0.01 };
+        let outs = run_all_methods(&spec, None, &train, &test, &cfg);
+        let n_features = Problem::from_table(&train).n_features();
+        let methods = render_methods_report(&outs, n_features);
+        assert_eq!(
+            report_hash(&select),
+            SELECT_REPORT,
+            "select report:\n{select}"
+        );
+        assert_eq!(
+            report_hash(&methods),
+            METHODS_REPORT,
+            "methods report:\n{methods}"
+        );
+        // The rendered text rounds every metric; `{:?}` prints each f64
+        // in its shortest round-trip form, so this pins the bits.
+        let mut reports = vec![out.report];
+        reports.extend(outs.iter().map(|o| o.report));
+        assert_eq!(
+            report_hash(&format!("{reports:?}")),
+            REPORT_BITS,
+            "{reports:?}"
         );
     }
 }
