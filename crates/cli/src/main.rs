@@ -33,6 +33,7 @@ use fairsel_server::{
 use fairsel_table::{csv, EncodedTable, Table, DEFAULT_CACHE_CAP};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -125,28 +126,63 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Every command prints through this one writer, so a failed write
+    // (a closed pipe included) is an error value, never a panic.
+    let mut out = io::stdout();
     let result = match cmd.as_str() {
-        "gen" => cmd_gen(&opts),
-        "select" => cmd_select(&opts),
-        "methods" => cmd_methods(&opts),
-        "append" => cmd_append(&opts),
-        "serve" => cmd_serve(&opts),
-        "stats" => cmd_stats(&opts),
-        "trace" => cmd_trace(&opts),
+        "gen" => cmd_gen(&opts, &mut out),
+        "select" => cmd_select(&opts, &mut out),
+        "methods" => cmd_methods(&opts, &mut out),
+        "append" => cmd_append(&opts, &mut out),
+        "serve" => cmd_serve(&opts, &mut out),
+        "stats" => cmd_stats(&opts, &mut out),
+        "trace" => cmd_trace(&opts, &mut out),
         // help / --help / -h: `known_flags` turned away every other command.
-        _ => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        _ => writeln!(out, "{USAGE}").map_err(CliError::from),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    match result.and_then(|()| out.flush().map_err(CliError::from)) {
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
+        Err(CliError::Msg(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
+
+/// Why a command stopped early.
+#[derive(Debug)]
+enum CliError {
+    /// Stdout's reader went away (`fairsel gen ... | head -1`): nobody is
+    /// left to read more, so the command ends quietly.
+    Closed,
+    /// Anything else: printed as one `error:` line, exit status 1.
+    Msg(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Msg(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Msg(e.to_owned())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            CliError::Closed
+        } else {
+            CliError::Msg(format!("writing output: {e}"))
+        }
+    }
+}
+
+/// What a command returns; `main` turns it into the exit status.
+type CliResult = Result<(), CliError>;
 
 /// Flags read by `load_workload` and `workload_request`, shared by
 /// `select` and `methods`.
@@ -249,8 +285,8 @@ impl Opts {
     }
 }
 
-fn cmd_gen(opts: &Opts) -> Result<(), String> {
-    let out = opts.get("out").ok_or("gen: --out is required")?;
+fn cmd_gen(opts: &Opts, out: &mut dyn Write) -> CliResult {
+    let dest = opts.get("out").ok_or("gen: --out is required")?;
     let rows: usize = opts.num("rows", 4000)?;
     let seed: u64 = opts.num("seed", 7)?;
     let strength: f64 = opts.num("strength", 1.5)?;
@@ -278,19 +314,20 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
             "1b" => fixtures::figure_1b(),
             "1c" => fixtures::figure_1c(),
             "6" => fixtures::figure_6(),
-            other => return Err(format!("unknown fixture: {other} (1a|1b|1c|6)")),
+            other => return Err(format!("unknown fixture: {other} (1a|1b|1c|6)").into()),
         };
         let scm = fixture.scm(strength);
         (scm, fixture.roles, format!("figure {id}"))
     };
     let table = sample_table(&scm, &roles, rows, &mut rng);
-    csv::write_csv(&table, Path::new(out)).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "wrote {out}: {} rows x {} cols from {origin}\nschema: {}",
+    csv::write_csv(&table, Path::new(dest)).map_err(|e| format!("writing {dest}: {e}"))?;
+    writeln!(
+        out,
+        "wrote {dest}: {} rows x {} cols from {origin}\nschema: {}",
         table.n_rows(),
         table.n_cols(),
         table.schema_string()
-    );
+    )?;
     // Streaming-append fodder: continue drawing from the *same* generator
     // state, so base + batches are one long sample — exactly the rows a
     // single `gen --rows base+N*M` run would have produced.
@@ -300,12 +337,15 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
         if batch_rows == 0 {
             return Err("--append-batches requires --batch-rows M (M >= 1)".into());
         }
-        let stem = out.strip_suffix(".csv").unwrap_or(out);
+        let stem = dest.strip_suffix(".csv").unwrap_or(dest);
         for b in 1..=batches {
             let batch = sample_table(&scm, &roles, batch_rows, &mut rng);
             let path = format!("{stem}.batch{b}.csv");
             csv::write_csv(&batch, Path::new(&path)).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote {path}: {batch_rows} rows (append batch {b}/{batches})");
+            writeln!(
+                out,
+                "wrote {path}: {batch_rows} rows (append batch {b}/{batches})"
+            )?;
         }
     }
     Ok(())
@@ -317,7 +357,7 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
 /// (fingerprinted locally — no upload). Only the batch rows travel, as
 /// the binary column codec; the server answers with the child dataset
 /// fingerprint, which later `select --remote` requests resolve warm.
-fn cmd_append(opts: &Opts) -> Result<(), String> {
+fn cmd_append(opts: &Opts, out: &mut dyn Write) -> CliResult {
     let addr = opts
         .get("remote")
         .ok_or("append: --remote <host:port> is required")?;
@@ -326,7 +366,7 @@ fn cmd_append(opts: &Opts) -> Result<(), String> {
         .ok_or("append: --csv <batch.csv> is required")?;
     let batch = csv::read_csv(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if batch.n_rows() == 0 {
-        return Err(format!("{path}: batch has no rows"));
+        return Err(format!("{path}: batch has no rows").into());
     }
     let fp = match (opts.get("fp"), opts.get("base")) {
         (Some(hex), _) => u64::from_str_radix(hex, 16)
@@ -342,22 +382,23 @@ fn cmd_append(opts: &Opts) -> Result<(), String> {
     let resp = fairsel_server::append_rows(addr, fp, &bytes).map_err(|e| format!("{addr}: {e}"))?;
     match resp {
         Response::Ok { body, stats, .. } => {
-            println!("child fingerprint           {body}");
-            println!("parent fingerprint          {fp:016x}");
-            println!(
+            writeln!(out, "child fingerprint           {body}")?;
+            writeln!(out, "parent fingerprint          {fp:016x}")?;
+            writeln!(
+                out,
                 "batch                       {} rows, {} bytes on the wire",
                 batch.n_rows(),
                 bytes.len()
-            );
+            )?;
             if let Some(s) = stats {
                 if let Some(rows) = s.get_u64("rows") {
-                    println!("child rows                  {rows}");
+                    writeln!(out, "child rows                  {rows}")?;
                 }
             }
             Ok(())
         }
         Response::Busy => Err("server busy: connection limit reached".into()),
-        Response::Err(e) => Err(e),
+        Response::Err(e) => Err(e.into()),
     }
 }
 
@@ -429,19 +470,20 @@ fn load_workload(opts: &Opts) -> Result<Workload, String> {
     })
 }
 
-fn cmd_select(opts: &Opts) -> Result<(), String> {
+fn cmd_select(opts: &Opts, out: &mut dyn Write) -> CliResult {
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
         }
-        match remote_select(addr, opts) {
+        match remote_select(addr, opts, out) {
             Ok(()) => return Ok(()),
             Err(RemoteError::Unreachable(e)) => {
                 eprintln!(
                     "warning: server {addr} unreachable ({e}); falling back to local execution"
                 );
             }
-            Err(RemoteError::Server(e)) => return Err(format!("remote {addr}: {e}")),
+            Err(RemoteError::Server(e)) => return Err(format!("remote {addr}: {e}").into()),
+            Err(RemoteError::Output(e)) => return Err(e),
         }
     }
 
@@ -450,7 +492,7 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
         check_tester_columns(&w.tester, &w.train)?;
     }
     let cache_cap: usize = opts.num("cache-cap", DEFAULT_CACHE_CAP)?;
-    let out = if let Some(path) = opts.get("dag") {
+    let result = if let Some(path) = opts.get("dag") {
         let dag = load_dag(path)?;
         let aligned = align_dag_to_table(&dag, &w.train)?;
         run_pipeline_batched(OracleCi::from_dag(aligned), &w.train, &w.test, &w.cfg)
@@ -464,16 +506,15 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
             "fisherz" => {
                 run_pipeline_batched(FisherZ::over(enc, w.alpha), &w.train, &w.test, &w.cfg)
             }
-            other => return Err(format!("unknown --tester: {other} (gtest|fisherz)")),
+            other => return Err(format!("unknown --tester: {other} (gtest|fisherz)").into()),
         }
     };
 
-    let report = render_pipeline_report(&out, &w.train, &w.cfg, w.test.n_rows());
-    print!("{report}");
-    println!();
-    print_engine_stats(&out.engine, w.cfg.workers);
-    write_outputs(opts, &report, &out)?;
-    Ok(())
+    let report = render_pipeline_report(&result, &w.train, &w.cfg, w.test.n_rows());
+    write!(out, "{report}")?;
+    writeln!(out)?;
+    print_engine_stats(out, &result.engine, w.cfg.workers)?;
+    write_outputs(opts, out, &report, &result)
 }
 
 /// Remote execution failure, split by whether falling back locally is the
@@ -482,6 +523,14 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
 enum RemoteError {
     Unreachable(String),
     Server(String),
+    /// Printing the answer failed; not a reason to re-run locally.
+    Output(CliError),
+}
+
+impl From<io::Error> for RemoteError {
+    fn from(e: io::Error) -> Self {
+        RemoteError::Output(e.into())
+    }
 }
 
 /// Build the wire workload from the CLI options (same defaults as the
@@ -618,51 +667,61 @@ fn remote_workload(
 }
 
 /// Describe how the dataset traveled (grep-able by the CI smoke step).
-fn print_transport(transport: &Transport, frame_bytes: usize) {
+fn print_transport(
+    out: &mut dyn Write,
+    transport: &Transport,
+    frame_bytes: usize,
+) -> io::Result<()> {
     match transport {
-        Transport::FpAddressed { put_bytes: 0 } => println!(
+        Transport::FpAddressed { put_bytes: 0 } => writeln!(
+            out,
             "transport                   fp-addressed \
              (dataset already resident; request frame {frame_bytes} bytes)"
         ),
-        Transport::FpAddressed { put_bytes } => println!(
+        Transport::FpAddressed { put_bytes } => writeln!(
+            out,
             "transport                   fp-addressed \
              (uploaded {put_bytes} bytes once; request frame {frame_bytes} bytes)"
         ),
         Transport::InlineCsv => {
-            println!("transport                   inline csv (request frame {frame_bytes} bytes)")
+            writeln!(
+                out,
+                "transport                   inline csv (request frame {frame_bytes} bytes)"
+            )
         }
     }
 }
 
-fn remote_select(addr: &str, opts: &Opts) -> Result<(), RemoteError> {
+fn remote_select(addr: &str, opts: &Opts, out: &mut dyn Write) -> Result<(), RemoteError> {
     let req = workload_request(opts).map_err(RemoteError::Server)?;
     let (resp, transport, frame_bytes) = remote_workload(addr, req, Request::Select)?;
     match resp {
         Response::Ok { body, stats, cache } => {
-            print!("{body}");
-            println!();
-            println!("== served by {addr} ==");
-            print_transport(&transport, frame_bytes);
+            write!(out, "{body}")?;
+            writeln!(out)?;
+            writeln!(out, "== served by {addr} ==")?;
+            print_transport(out, &transport, frame_bytes)?;
             if let Some(c) = cache {
-                println!("dataset fingerprint         {:016x}", c.fingerprint);
-                println!("sessions served             {}", c.sessions_served);
-                println!("shared memo hits            {}", c.shared_hits);
-                println!(
+                writeln!(out, "dataset fingerprint         {:016x}", c.fingerprint)?;
+                writeln!(out, "sessions served             {}", c.sessions_served)?;
+                writeln!(out, "shared memo hits            {}", c.shared_hits)?;
+                writeln!(
+                    out,
                     "encode cache hits/misses    {}/{} (evictions {})",
                     c.encode_hits, c.encode_misses, c.encode_evictions
-                );
-                println!("dataset evictions           {}", c.dataset_evictions);
+                )?;
+                writeln!(out, "dataset evictions           {}", c.dataset_evictions)?;
             }
             if let Some(path) = opts.get("report-out") {
                 std::fs::write(path, &body)
                     .map_err(|e| RemoteError::Server(format!("writing {path}: {e}")))?;
-                println!("report written to {path}");
+                writeln!(out, "report written to {path}")?;
             }
             if let Some(path) = opts.get("stats-out") {
                 let text = stats.map(|s| s.to_string()).unwrap_or_else(|| "{}".into());
                 std::fs::write(path, text)
                     .map_err(|e| RemoteError::Server(format!("writing {path}: {e}")))?;
-                println!("engine stats written to {path}");
+                writeln!(out, "engine stats written to {path}")?;
             }
             Ok(())
         }
@@ -673,14 +732,20 @@ fn remote_select(addr: &str, opts: &Opts) -> Result<(), RemoteError> {
     }
 }
 
-fn write_outputs(opts: &Opts, report: &str, out: &PipelineResult) -> Result<(), String> {
+fn write_outputs(
+    opts: &Opts,
+    out: &mut dyn Write,
+    report: &str,
+    result: &PipelineResult,
+) -> CliResult {
     if let Some(path) = opts.get("report-out") {
         std::fs::write(path, report).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nreport written to {path}");
+        writeln!(out, "\nreport written to {path}")?;
     }
     if let Some(path) = opts.get("stats-out") {
-        std::fs::write(path, out.engine.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nengine stats written to {path}");
+        std::fs::write(path, result.engine.to_json())
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        writeln!(out, "\nengine stats written to {path}")?;
     }
     Ok(())
 }
@@ -727,18 +792,18 @@ fn align_dag_to_table(dag: &Dag, table: &Table) -> Result<Dag, String> {
 /// server's per-dataset registry session, so it shares dedup with every
 /// other request on the same dataset (the per-method tests/issued columns
 /// report post-dedup costs — a warm sweep issues almost nothing).
-fn remote_methods(addr: &str, opts: &Opts) -> Result<(), RemoteError> {
+fn remote_methods(addr: &str, opts: &Opts, out: &mut dyn Write) -> Result<(), RemoteError> {
     let req = workload_request(opts).map_err(RemoteError::Server)?;
     let (resp, transport, frame_bytes) = remote_workload(addr, req, Request::Methods)?;
     match resp {
         Response::Ok { body, cache, .. } => {
-            print!("{body}");
-            println!("\n== served by {addr} ==");
-            print_transport(&transport, frame_bytes);
+            write!(out, "{body}")?;
+            writeln!(out, "\n== served by {addr} ==")?;
+            print_transport(out, &transport, frame_bytes)?;
             if let Some(c) = cache {
-                println!("dataset fingerprint         {:016x}", c.fingerprint);
-                println!("sessions served             {}", c.sessions_served);
-                println!("shared memo hits            {}", c.shared_hits);
+                writeln!(out, "dataset fingerprint         {:016x}", c.fingerprint)?;
+                writeln!(out, "sessions served             {}", c.sessions_served)?;
+                writeln!(out, "shared memo hits            {}", c.shared_hits)?;
             }
             Ok(())
         }
@@ -749,7 +814,7 @@ fn remote_methods(addr: &str, opts: &Opts) -> Result<(), RemoteError> {
     }
 }
 
-fn cmd_serve(opts: &Opts) -> Result<(), String> {
+fn cmd_serve(opts: &Opts, out: &mut dyn Write) -> CliResult {
     let addr = opts.get("addr").unwrap_or("127.0.0.1:4990");
     let max_conns = match opts.get("max-conns") {
         // Auto: twice the handler pool (resolved by `Server::bind`).
@@ -770,7 +835,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         trace_spans: opts.get("trace").is_none_or(|v| v != "false"),
     };
     let server = Server::bind(addr, cfg).map_err(|e| format!("binding {addr}: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "fairsel serve listening on {} (cache-cap {}, max-datasets {}, \
          conn-workers {}, max-conns {})",
         server.local_addr(),
@@ -778,15 +844,15 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         cfg.registry.max_datasets,
         server.conn_workers(),
         server.max_conns()
-    );
-    server.run().map_err(|e| format!("serve: {e}"))
+    )?;
+    server.run().map_err(|e| format!("serve: {e}").into())
 }
 
 /// Print a running server's registry + connection telemetry as one JSON
 /// object (the CI smoke step greps `shed_conns` / `bytes_rx` out of it).
 /// `--prom` renders it as Prometheus text; `--watch SECS` polls and
 /// prints per-interval deltas instead.
-fn cmd_stats(opts: &Opts) -> Result<(), String> {
+fn cmd_stats(opts: &Opts, out: &mut dyn Write) -> CliResult {
     let addr = opts
         .get("remote")
         .ok_or("stats: --remote <host:port> is required")?;
@@ -798,13 +864,13 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
             return Err("--watch: interval must be positive".into());
         }
         let iters: u64 = opts.num("iters", 0)?;
-        return watch_stats(addr, secs, iters);
+        return watch_stats(addr, secs, iters, out);
     }
     let s = fetch_stats(addr)?;
     if opts.get("prom").is_some_and(|v| v != "false") {
-        print!("{}", fairsel_server::render_prom(&s));
+        write!(out, "{}", fairsel_server::render_prom(&s))?;
     } else {
-        println!("{s}");
+        writeln!(out, "{s}")?;
     }
     Ok(())
 }
@@ -824,7 +890,7 @@ fn fetch_stats(addr: &str) -> Result<Json, String> {
 /// Poll `stats` every `secs` seconds and print one line per interval:
 /// request/connection deltas plus the current latency percentiles.
 /// `iters == 0` polls until interrupted.
-fn watch_stats(addr: &str, secs: f64, iters: u64) -> Result<(), String> {
+fn watch_stats(addr: &str, secs: f64, iters: u64, out: &mut dyn Write) -> CliResult {
     let field = |s: &Json, k: &str| s.get_num(k).unwrap_or(0.0);
     let mut prev: Option<Json> = None;
     let mut n = 0u64;
@@ -834,7 +900,8 @@ fn watch_stats(addr: &str, secs: f64, iters: u64) -> Result<(), String> {
             let before = prev.as_ref().map_or(0.0, |p| field(p, k));
             field(&s, k) - before
         };
-        println!(
+        writeln!(
+            out,
             "requests +{:<5} wall p50/p95/p99 {:.2}/{:.2}/{:.2} ms  \
              qwait p95 {:.2} ms  active {}  shed +{}  rx +{}B tx +{}B",
             delta("requests_handled"),
@@ -846,7 +913,7 @@ fn watch_stats(addr: &str, secs: f64, iters: u64) -> Result<(), String> {
             delta("shed_conns"),
             delta("bytes_rx"),
             delta("bytes_tx"),
-        );
+        )?;
         prev = Some(s);
         n += 1;
         if iters > 0 && n >= iters {
@@ -859,7 +926,7 @@ fn watch_stats(addr: &str, secs: f64, iters: u64) -> Result<(), String> {
 /// Fetch a running server's most recent completed spans and print them
 /// as JSON lines (one span object per line), oldest first. `--trace-out`
 /// redirects the lines to a file and prints a one-line summary instead.
-fn cmd_trace(opts: &Opts) -> Result<(), String> {
+fn cmd_trace(opts: &Opts, out: &mut dyn Write) -> CliResult {
     let addr = opts
         .get("remote")
         .ok_or("trace: --remote <host:port> is required")?;
@@ -870,7 +937,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
         Response::Ok { stats: Some(s), .. } => s,
         Response::Ok { .. } => return Err("server returned no trace".into()),
         Response::Busy => return Err("server busy: connection limit reached".into()),
-        Response::Err(e) => return Err(e),
+        Response::Err(e) => return Err(e.into()),
     };
     let Some(Json::Arr(spans)) = stats.get("spans") else {
         return Err("trace response carried no spans array".into());
@@ -885,13 +952,14 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     match opts.get("trace-out") {
         Some(path) => {
             std::fs::write(path, &lines).map_err(|e| format!("writing {path}: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "{} spans written to {path} (spans_dropped {dropped}, trace_enabled {enabled})",
                 spans.len()
-            );
+            )?;
         }
         None => {
-            print!("{lines}");
+            write!(out, "{lines}")?;
             eprintln!(
                 "{} spans (spans_dropped {dropped}, trace_enabled {enabled})",
                 spans.len()
@@ -901,19 +969,20 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_methods(opts: &Opts) -> Result<(), String> {
+fn cmd_methods(opts: &Opts, out: &mut dyn Write) -> CliResult {
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
         }
-        match remote_methods(addr, opts) {
+        match remote_methods(addr, opts, out) {
             Ok(()) => return Ok(()),
             Err(RemoteError::Unreachable(e)) => {
                 eprintln!(
                     "warning: server {addr} unreachable ({e}); falling back to local execution"
                 );
             }
-            Err(RemoteError::Server(e)) => return Err(format!("remote {addr}: {e}")),
+            Err(RemoteError::Server(e)) => return Err(format!("remote {addr}: {e}").into()),
+            Err(RemoteError::Output(e)) => return Err(e),
         }
     }
     let w = load_workload(opts)?;
@@ -928,52 +997,61 @@ fn cmd_methods(opts: &Opts) -> Result<(), String> {
         match w.tester.as_str() {
             "gtest" => TesterSpec::GTest { alpha: w.alpha },
             "fisherz" => TesterSpec::FisherZ { alpha: w.alpha },
-            other => return Err(format!("unknown --tester: {other} (gtest|fisherz)")),
+            other => return Err(format!("unknown --tester: {other} (gtest|fisherz)").into()),
         }
     };
     let outs = run_all_methods(&spec, aligned_dag.as_ref(), &w.train, &w.test, &w.cfg);
     let problem = Problem::from_table(&w.train);
-    print!("{}", render_methods_report(&outs, problem.n_features()));
+    write!(
+        out,
+        "{}",
+        render_methods_report(&outs, problem.n_features())
+    )?;
     Ok(())
 }
 
-fn print_engine_stats(stats: &EngineStats, workers: usize) {
-    println!("== engine telemetry (workers={workers}) ==");
-    println!("queries requested           {}", stats.requested);
-    println!("tests issued                {}", stats.issued);
-    println!("cache hits                  {}", stats.cache_hits);
-    println!("dedup rate                  {:.4}", stats.dedup_rate());
-    println!(
+fn print_engine_stats(out: &mut dyn Write, stats: &EngineStats, workers: usize) -> io::Result<()> {
+    writeln!(out, "== engine telemetry (workers={workers}) ==")?;
+    writeln!(out, "queries requested           {}", stats.requested)?;
+    writeln!(out, "tests issued                {}", stats.issued)?;
+    writeln!(out, "cache hits                  {}", stats.cache_hits)?;
+    writeln!(out, "dedup rate                  {:.4}", stats.dedup_rate())?;
+    writeln!(
+        out,
         "batches (par/grp)           {} ({}/{})",
         stats.batches, stats.parallel_batches, stats.grouped_batches
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "encode cache hits/misses    {}/{} (evictions {})",
         stats.encode_cache_hits, stats.encode_cache_misses, stats.encode_cache_evictions
-    );
+    )?;
     if stats.memoized_before > 0 {
-        println!(
+        writeln!(
+            out,
             "memo patched/invalidated    {}/{} of {} (patch hits {})",
             stats.memo_patched,
             stats.memo_invalidated,
             stats.memoized_before,
             stats.memo_patch_hits
-        );
+        )?;
     }
-    println!("ci wall time                {:.2} ms", stats.wall_ms);
+    writeln!(out, "ci wall time                {:.2} ms", stats.wall_ms)?;
     for p in &stats.phases {
-        println!(
+        writeln!(
+            out,
             "  {:<24} requested {:>6}  issued {:>6}  hits {:>6}  {:>9.2} ms",
             p.name, p.requested, p.issued, p.cache_hits, p.wall_ms
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    type Cmd = fn(&Opts) -> Result<(), String>;
+    type Cmd = fn(&Opts, &mut dyn Write) -> CliResult;
 
     /// Run `select` and `methods` locally on `csv_text` with `tester`
     /// and return both errors.
@@ -988,7 +1066,10 @@ mod tests {
         let opts = Opts::parse("select", &args, known_flags("select").unwrap()).unwrap();
         let errors = [cmd_select as Cmd, cmd_methods]
             .iter()
-            .map(|cmd| cmd(&opts).expect_err("command must fail"))
+            .map(|cmd| match cmd(&opts, &mut io::sink()) {
+                Err(CliError::Msg(e)) => e,
+                other => panic!("command must fail with a message: {other:?}"),
+            })
             .collect();
         std::fs::remove_dir_all(&dir).ok();
         errors

@@ -10,7 +10,9 @@
 //! e.g. Fair-PC's marginal-independence layer overlaps SeqSel's ∅-subset
 //! queries.
 
-use crate::pipeline::{score_columns, ClassifierKind, PipelineConfig, SelectionAlgo};
+use crate::pipeline::{
+    score_columns, ClassifierKind, PipelineConfig, ScoreMemo, SelectionAlgo, SCORE_MEMO_CAP,
+};
 use crate::problem::{Problem, Selection};
 use crate::{grpsel_batched_in, grpsel_in, seqsel_in};
 use fairsel_ci::{CiTest, CiTestBatch, FisherZ, GTest, OracleCi};
@@ -176,6 +178,7 @@ pub fn run_method(
         method,
         spec,
         spec.encoding_for(train).as_ref(),
+        &ScoreMemo::new(SCORE_MEMO_CAP),
         dag,
         train,
         test,
@@ -183,11 +186,14 @@ pub fn run_method(
     )
 }
 
-/// [`run_method`] with an explicit (possibly shared) encoding layer.
+/// [`run_method`] with an explicit (possibly shared) encoding layer and
+/// score memo for this split.
+#[allow(clippy::too_many_arguments)]
 fn run_method_over(
     method: Method,
     spec: &TesterSpec,
     enc: Option<&Arc<EncodedTable>>,
+    scores: &ScoreMemo,
     dag: Option<&Dag>,
     train: &Table,
     test: &Table,
@@ -231,7 +237,7 @@ fn run_method_over(
         }
     };
     let model_cols = crate::pipeline::model_columns(&problem, &selected);
-    let report = score_columns(train, test, &problem, &model_cols, cfg);
+    let report = score_columns(scores, train, test, &problem, &model_cols, cfg);
     MethodOutput {
         method,
         selected,
@@ -253,11 +259,13 @@ pub fn run_all_methods(
 ) -> Vec<MethodOutput> {
     // One shared encoding layer for the whole sweep: the dataset is cloned
     // into shared ownership once, and every method's tester amortizes the
-    // same set-encoding cache.
+    // same set-encoding cache. One score memo too: methods that pick the
+    // same model columns fit once.
     let enc = spec.encoding_for(train);
+    let scores = ScoreMemo::new(SCORE_MEMO_CAP);
     Method::all()
         .into_iter()
-        .map(|m| run_method_over(m, spec, enc.as_ref(), dag, train, test, cfg))
+        .map(|m| run_method_over(m, spec, enc.as_ref(), &scores, dag, train, test, cfg))
         .collect()
 }
 
@@ -269,9 +277,13 @@ pub fn run_all_methods(
 /// query, however they are reached); the per-method `tests_used` /
 /// `engine` telemetry reports what each method cost *after* cross-method
 /// and cross-request dedup — e.g. GrpSel right after SeqSel issues far
-/// fewer tests than it would cold, which is the point.
+/// fewer tests than it would cold, which is the point. `scores` (which
+/// must belong to this `train`/`test` split) is shared the same way:
+/// a method whose model columns were already scored, in this sweep or an
+/// earlier request, replays the report.
 pub fn run_all_methods_in<T: CiTestBatch>(
     session: &mut CiSession<T>,
+    scores: &ScoreMemo,
     train: &Table,
     test: &Table,
     cfg: &PipelineConfig,
@@ -315,7 +327,7 @@ pub fn run_all_methods_in<T: CiTestBatch>(
             session.refresh_encode_stats();
             let engine = session.stats().delta_since(&before);
             let model_cols = crate::pipeline::model_columns(&problem, &selected);
-            let report = score_columns(train, test, &problem, &model_cols, cfg);
+            let report = score_columns(scores, train, test, &problem, &model_cols, cfg);
             MethodOutput {
                 method,
                 selected,
@@ -452,6 +464,32 @@ mod tests {
                 "{:?} collapsed: {}",
                 out.method,
                 out.report.accuracy
+            );
+        }
+    }
+
+    /// Methods that pick the same model columns fit once per sweep, and
+    /// the sweep reports what the memo-free `run_all_methods` reports.
+    #[test]
+    fn sweep_fits_each_column_set_once() {
+        let (_, train, test) = splits();
+        let cfg = PipelineConfig::default();
+        let mut session = CiSession::new(GTest::new(&train, 0.01));
+        let scores = ScoreMemo::new(SCORE_MEMO_CAP);
+        let outs = run_all_methods_in(&mut session, &scores, &train, &test, &cfg);
+        let mut distinct: Vec<&Vec<ColId>> = outs.iter().map(|o| &o.model_cols).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() < outs.len(), "some methods should agree");
+        let s = scores.stats();
+        assert_eq!(s.misses, distinct.len() as u64);
+        assert_eq!(s.hits, (outs.len() - distinct.len()) as u64);
+        let spec = TesterSpec::GTest { alpha: 0.01 };
+        let fresh = run_all_methods(&spec, None, &train, &test, &cfg);
+        for (a, b) in outs.iter().zip(&fresh) {
+            assert_eq!(
+                (a.method, &a.model_cols, a.report),
+                (b.method, &b.model_cols, b.report)
             );
         }
     }

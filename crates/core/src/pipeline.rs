@@ -5,6 +5,11 @@
 //! (tests issued, cache hits, dedup rate, per-phase wall time) is returned
 //! in [`PipelineResult::engine`] — the numbers the paper reports alongside
 //! accuracy and odds difference.
+//!
+//! Scoring (featurize → fit → predict → metrics) is a pure function of
+//! the split and of [`ScoreKey`], so every entry point routes it through
+//! a [`ScoreMemo`]: a long-lived session that selects the same columns
+//! again replays the report instead of refitting the classifier.
 
 use crate::grpsel::{grpsel_batched_in, grpsel_in};
 use crate::problem::{Problem, SelectConfig, Selection};
@@ -15,7 +20,7 @@ use fairsel_ml::{
     AdaBoost, Classifier, DecisionTree, FairnessReport, Featurizer, LogisticRegression, NaiveBayes,
     RandomForest,
 };
-use fairsel_table::{ColId, Table};
+use fairsel_table::{CappedCache, ColId, Table};
 
 /// Which selection algorithm the pipeline runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,7 +33,7 @@ pub enum SelectionAlgo {
 }
 
 /// Classifier trained on the selected features (§5.1 "Model Selection").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ClassifierKind {
     Logistic,
     DecisionTree,
@@ -91,6 +96,21 @@ pub struct PipelineResult {
     pub engine: EngineStats,
 }
 
+/// What a scored report depends on besides the train/test split it was
+/// fit on: the model columns, the classifier and the model seed.
+pub type ScoreKey = (Vec<ColId>, ClassifierKind, u64);
+
+/// Memoized fairness reports for one fixed train/test split, keyed by
+/// [`ScoreKey`]. A memo must never outlive or be shared across splits:
+/// the key does not name the data. Build one with
+/// `ScoreMemo::new(SCORE_MEMO_CAP)`.
+pub type ScoreMemo = CappedCache<ScoreKey, FairnessReport>;
+
+/// Reports one [`ScoreMemo`] keeps before evicting the least recently
+/// used. A request picks one key, and one split sees a few distinct
+/// column sets times five classifiers; a report is a few dozen bytes.
+pub const SCORE_MEMO_CAP: usize = 64;
+
 /// Run the full pipeline with any CI tester (commonly `&mut GTest`,
 /// `&mut OracleCi`, ...). Sequential engine batches.
 pub fn run_pipeline<T: CiTest>(
@@ -106,7 +126,8 @@ pub fn run_pipeline<T: CiTest>(
         SelectionAlgo::GrpSel { seed } => grpsel_in(&mut session, &problem, &cfg.select, seed),
     };
     let engine = session.stats().clone();
-    train_and_score(train, test, &problem, selection, engine, cfg)
+    let scores = ScoreMemo::new(SCORE_MEMO_CAP);
+    train_and_score(&scores, train, test, &problem, selection, engine, cfg)
 }
 
 /// Like [`run_pipeline`] for batch-aware testers (`GTest`,
@@ -122,7 +143,8 @@ pub fn run_pipeline_batched<T: CiTestBatch>(
     cfg: &PipelineConfig,
 ) -> PipelineResult {
     let mut session = CiSession::new(tester);
-    run_pipeline_batched_in(&mut session, train, test, cfg)
+    let scores = ScoreMemo::new(SCORE_MEMO_CAP);
+    run_pipeline_batched_in(&mut session, &scores, train, test, cfg)
 }
 
 /// Like [`run_pipeline_batched`] but running inside an *existing* session:
@@ -131,9 +153,12 @@ pub fn run_pipeline_batched<T: CiTestBatch>(
 /// is the entry point the long-lived `fairsel-server` session registry
 /// drives — one session per (dataset fingerprint, tester config), shared
 /// by every request that maps to it. The returned telemetry is the
-/// session's *cumulative* stats.
+/// session's *cumulative* stats. Selection runs on every call; `scores`
+/// (which must belong to this `train`/`test` split) replays the report
+/// when the selection picks model columns it has already scored.
 pub fn run_pipeline_batched_in<T: CiTestBatch>(
     session: &mut CiSession<T>,
+    scores: &ScoreMemo,
     train: &Table,
     test: &Table,
     cfg: &PipelineConfig,
@@ -149,7 +174,7 @@ pub fn run_pipeline_batched_in<T: CiTestBatch>(
     // encode-cache counters; refresh so the telemetry is honest either way.
     session.refresh_encode_stats();
     let engine = session.stats().clone();
-    train_and_score(train, test, &problem, selection, engine, cfg)
+    train_and_score(scores, train, test, &problem, selection, engine, cfg)
 }
 
 /// Render the *deterministic* part of a pipeline run — the selection
@@ -225,8 +250,9 @@ pub fn render_pipeline_report(
 }
 
 /// Train the configured classifier on `A ∪ C₁ ∪ C₂` and score the test
-/// split. Shared by the pipeline entry points and the baselines module.
-pub(crate) fn train_and_score(
+/// split. Shared by the pipeline entry points.
+fn train_and_score(
+    scores: &ScoreMemo,
     train: &Table,
     test: &Table,
     problem: &Problem,
@@ -235,7 +261,7 @@ pub(crate) fn train_and_score(
     cfg: &PipelineConfig,
 ) -> PipelineResult {
     let model_cols = model_columns(problem, &selection.selected());
-    let report = score_columns(train, test, problem, &model_cols, cfg);
+    let report = score_columns(scores, train, test, problem, &model_cols, cfg);
     PipelineResult {
         selection,
         model_cols,
@@ -255,9 +281,33 @@ pub(crate) fn model_columns(problem: &Problem, selected: &[ColId]) -> Vec<ColId>
     model_cols
 }
 
+/// The fairness report for an explicit column set: replayed from `scores`
+/// when its [`ScoreKey`] is resident, else computed by [`fit_and_score`]
+/// and memoized. Records a `pipeline.score` span whose `memo` annotation
+/// says `hit` or `miss`.
+pub fn score_columns(
+    scores: &ScoreMemo,
+    train: &Table,
+    test: &Table,
+    problem: &Problem,
+    model_cols: &[ColId],
+    cfg: &PipelineConfig,
+) -> FairnessReport {
+    let key = (model_cols.to_vec(), cfg.classifier, cfg.model_seed);
+    let hit = scores.get(&key);
+    let _sp = fairsel_obs::span_kv("pipeline.score", || {
+        let memo = if hit.is_some() { "hit" } else { "miss" };
+        vec![("memo", memo.to_owned())]
+    });
+    match hit {
+        Some(report) => report,
+        None => scores.insert(key, fit_and_score(train, test, problem, model_cols, cfg)),
+    }
+}
+
 /// Featurize → fit → predict → fairness metrics for an explicit column
-/// set (also used directly by the ALL / A-only baselines).
-pub(crate) fn score_columns(
+/// set: the miss path of [`score_columns`].
+fn fit_and_score(
     train: &Table,
     test: &Table,
     problem: &Problem,
@@ -361,15 +411,74 @@ mod tests {
         let par_cfg = PipelineConfig { workers: 4, ..base };
         let par = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &par_cfg);
         assert_eq!(seq.model_cols, par.model_cols);
-        assert_eq!(seq.report.accuracy, par.report.accuracy);
-        assert_eq!(
-            seq.report.abs_odds_difference,
-            par.report.abs_odds_difference
-        );
-        // CMI sums over HashMap iteration order, so it is only
-        // reproducible up to float associativity.
-        assert!((seq.report.cmi_s_pred_given_a - par.report.cmi_s_pred_given_a).abs() < 1e-9);
+        // Exact, CMI included: its plug-in sum walks strata and cells in
+        // first-occurrence order (`Strata` keeps them in a `Vec`), so the
+        // report is a deterministic function of the selection — the
+        // property a memoized report relies on.
+        assert_eq!(seq.report, par.report);
         assert_eq!(seq.engine.issued, par.engine.issued);
+    }
+
+    /// A second run in the same session and memo replays the report: one
+    /// miss, then a hit, and the same bits.
+    #[test]
+    fn warm_repeat_replays_the_memoized_report() {
+        let (_, train, test) = figure_1a_splits(2000, 17);
+        let cfg = PipelineConfig {
+            algo: SelectionAlgo::GrpSel { seed: Some(2) },
+            ..Default::default()
+        };
+        let mut session = CiSession::new(GTest::new(&train, 0.01));
+        let scores = ScoreMemo::new(SCORE_MEMO_CAP);
+        let cold = run_pipeline_batched_in(&mut session, &scores, &train, &test, &cfg);
+        let warm = run_pipeline_batched_in(&mut session, &scores, &train, &test, &cfg);
+        assert_eq!(cold.report, warm.report);
+        assert_eq!(cold.model_cols, warm.model_cols);
+        let s = scores.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        // The memo is keyed by the classifier too.
+        let nb = PipelineConfig {
+            classifier: ClassifierKind::NaiveBayes,
+            ..cfg
+        };
+        run_pipeline_batched_in(&mut session, &scores, &train, &test, &nb);
+        assert_eq!((scores.stats().misses, scores.len()), (2, 2));
+    }
+
+    /// Past the cap the memo evicts: residency stays at the cap and the
+    /// ledger `inserted == len + evictions` holds.
+    #[test]
+    fn score_memo_is_bounded() {
+        let (_, train, test) = figure_1a_splits(400, 19);
+        let problem = Problem::from_table(&train);
+        let cfg = PipelineConfig {
+            classifier: ClassifierKind::NaiveBayes,
+            ..Default::default()
+        };
+        let scores = ScoreMemo::new(SCORE_MEMO_CAP);
+        let cols: Vec<ColId> = (0..train.n_cols())
+            .filter(|&c| c != problem.target)
+            .collect();
+        // Distinct keys: every column subset under several model seeds.
+        let subsets = 1usize << cols.len();
+        let seeds = SCORE_MEMO_CAP / subsets + 2;
+        for model_seed in 0..seeds as u64 {
+            let cfg = PipelineConfig {
+                model_seed,
+                ..cfg.clone()
+            };
+            for mask in 0..subsets {
+                let subset: Vec<ColId> = (0..cols.len())
+                    .filter(|b| mask >> b & 1 == 1)
+                    .map(|b| cols[b])
+                    .collect();
+                score_columns(&scores, &train, &test, &problem, &subset, &cfg);
+                assert!(scores.len() <= SCORE_MEMO_CAP);
+            }
+        }
+        assert_eq!(scores.stats().misses, (seeds * subsets) as u64);
+        assert_eq!(scores.len(), SCORE_MEMO_CAP);
+        assert_eq!(scores.inserted(), scores.len() as u64 + scores.evictions());
     }
 
     #[test]

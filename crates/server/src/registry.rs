@@ -20,12 +20,20 @@
 //! The registry itself is LRU-bounded (`max_datasets`), and each
 //! workload's encoding caches are bounded by `cache_cap` — both with
 //! eviction counters surfaced in the response telemetry.
+//!
+//! Each workload also memoizes its scored fairness reports
+//! ([`ScoreMemo`], keyed by model columns, classifier and model seed).
+//! Selection still runs on every request; only when it picks a column
+//! set the workload has already scored is the classifier fit skipped.
+//! A warm child born by append starts with an empty memo, since its
+//! train table differs from the parent's.
 
 use crate::proto::{CacheInfo, DatasetRef, MaxGroupSpec, WorkloadRequest};
 use fairsel_ci::{check_tester_columns, CiTestBatch, FisherZ, GTest};
 use fairsel_core::{
     render_methods_report, render_pipeline_report, run_all_methods_in, run_pipeline_batched_in,
-    ClassifierKind, PipelineConfig, Problem, SelectConfig, SelectionAlgo,
+    ClassifierKind, PipelineConfig, Problem, ScoreMemo, SelectConfig, SelectionAlgo,
+    SCORE_MEMO_CAP,
 };
 use fairsel_engine::CiSession;
 use fairsel_obs::TrackedMutex;
@@ -106,12 +114,13 @@ pub fn fingerprint_table(table: &Table) -> u64 {
 pub type BoxedSession = CiSession<Box<dyn CiTestBatch + Send + Sync>>;
 
 /// One resident workload: split tables, shared encoding layer, memoizing
-/// session.
+/// session and the reports scored on this split.
 pub struct Workload {
     pub train: Arc<Table>,
     pub test: Table,
     pub enc: Arc<EncodedTable>,
     pub session: CiSession<Box<dyn CiTestBatch + Send + Sync>>,
+    pub scores: ScoreMemo,
     pub fingerprint: u64,
     pub sessions_served: u64,
     /// True when the row-stable split degenerated to a prefix cut
@@ -179,6 +188,10 @@ pub struct Registry {
     /// invalidated for on-demand re-issue.
     memo_patched: AtomicU64,
     memo_invalidated: AtomicU64,
+    /// Cumulative score-memo lookups across every workload (evicted ones
+    /// included): reports replayed vs computed by a classifier fit.
+    score_memo_hits: AtomicU64,
+    score_memo_misses: AtomicU64,
 }
 
 impl Registry {
@@ -195,6 +208,8 @@ impl Registry {
             warm_children: AtomicU64::new(0),
             memo_patched: AtomicU64::new(0),
             memo_invalidated: AtomicU64::new(0),
+            score_memo_hits: AtomicU64::new(0),
+            score_memo_misses: AtomicU64::new(0),
         }
     }
 
@@ -236,6 +251,30 @@ impl Registry {
     /// Total memoized outcomes invalidated across warm-child births.
     pub fn memo_invalidated(&self) -> u64 {
         self.memo_invalidated.load(Ordering::Relaxed)
+    }
+
+    /// Total scored reports replayed from a workload's score memo.
+    pub fn score_memo_hits(&self) -> u64 {
+        self.score_memo_hits.load(Ordering::Relaxed)
+    }
+
+    /// Total scored reports computed (a classifier fit, or the empty
+    /// model's majority vote) and memoized.
+    pub fn score_memo_misses(&self) -> u64 {
+        self.score_memo_misses.load(Ordering::Relaxed)
+    }
+
+    /// Run `f` against a workload's score memo and add the lookups it
+    /// made to the registry-wide counters.
+    fn count_scores<R>(&self, scores: &ScoreMemo, f: impl FnOnce() -> R) -> R {
+        let before = scores.stats();
+        let out = f();
+        let after = scores.stats();
+        self.score_memo_hits
+            .fetch_add(after.hits - before.hits, Ordering::Relaxed);
+        self.score_memo_misses
+            .fetch_add(after.misses - before.misses, Ordering::Relaxed);
+        out
     }
 
     /// The recorded append parent of `child_fp`, if any.
@@ -362,7 +401,9 @@ impl Registry {
         let _sp = fairsel_obs::span_kv("registry.select", || {
             vec![("fingerprint", format!("{fingerprint:016x}"))]
         });
-        let out = run_pipeline_batched_in(&mut w.session, &train, &w.test, &cfg);
+        let out = self.count_scores(&w.scores, || {
+            run_pipeline_batched_in(&mut w.session, &w.scores, &train, &w.test, &cfg)
+        });
         w.sessions_served += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
         let body = render_pipeline_report(&out, &w.train, &cfg, w.test.n_rows());
@@ -400,7 +441,9 @@ impl Registry {
         let _sp = fairsel_obs::span_kv("registry.methods", || {
             vec![("fingerprint", format!("{fingerprint:016x}"))]
         });
-        let outs = run_all_methods_in(&mut w.session, &train, &w.test, &cfg);
+        let outs = self.count_scores(&w.scores, || {
+            run_all_methods_in(&mut w.session, &w.scores, &train, &w.test, &cfg)
+        });
         w.sessions_served += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
         let problem = Problem::from_table(&w.train);
@@ -575,6 +618,8 @@ impl Registry {
                 test,
                 enc,
                 session,
+                // Empty for a warm child too: its train table differs.
+                scores: ScoreMemo::new(SCORE_MEMO_CAP),
                 fingerprint,
                 sessions_served: 0,
                 split_fallback: split.fallback,
@@ -970,5 +1015,151 @@ mod tests {
         assert!(reg.dataset(fp_a).is_some() && reg.dataset(fp_c).is_some());
         // Undersized uploads are rejected before they occupy a slot.
         assert!(reg.put(small_table(4, false)).is_err());
+    }
+
+    /// The resident workload behind `req`.
+    fn workload(reg: &Registry, fp: u64, req: &WorkloadRequest) -> Arc<TrackedMutex<Workload>> {
+        let key = reg.workload_key(fp, req);
+        Arc::clone(&reg.slots.lock()[&key].state)
+    }
+
+    /// A warm repeat `select` replays the scored report: the same body,
+    /// a full selection again (same queries, no new CI tests), one score
+    /// memo hit and no second fit. The `pipeline.score` span inside
+    /// `registry.select` says which.
+    #[test]
+    fn warm_repeat_select_replays_the_scored_report() {
+        fairsel_obs::set_enabled(true);
+        let reg = Registry::new(RegistryConfig::default());
+        let req = WorkloadRequest::with_csv(csv::to_csv_string(&small_table(216, true)));
+        let (body1, stats1, cache) = reg.select(&req).unwrap();
+        assert_eq!((reg.score_memo_hits(), reg.score_memo_misses()), (0, 1));
+        let (body2, stats2, _) = reg.select(&req).unwrap();
+        assert_eq!(body1, body2, "a replayed report must be byte-identical");
+        assert_eq!((reg.score_memo_hits(), reg.score_memo_misses()), (1, 1));
+        let num = |json: &str, key: &str| {
+            crate::json::Json::parse(json)
+                .unwrap()
+                .get_u64(key)
+                .unwrap()
+        };
+        assert_eq!(
+            num(&stats2, "issued"),
+            num(&stats1, "issued"),
+            "no new CI tests"
+        );
+        assert_eq!(
+            num(&stats2, "requested"),
+            2 * num(&stats1, "requested"),
+            "selection runs in full on every request"
+        );
+
+        // Span tree: registry.select → pipeline.score{memo=miss|hit}.
+        let fp = format!("{:016x}", cache.fingerprint);
+        let spans = fairsel_obs::sink().recent(fairsel_obs::DEFAULT_SINK_CAP);
+        let selects: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "registry.select" && s.kv.contains(&("fingerprint", fp.clone())))
+            .map(|s| s.id)
+            .collect();
+        let memo: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.name == "pipeline.score" && selects.contains(&s.parent))
+            .flat_map(|s| s.kv.iter().filter(|(k, _)| *k == "memo"))
+            .map(|(_, v)| v.as_str())
+            .collect();
+        assert_eq!(memo, ["miss", "hit"]);
+    }
+
+    /// `methods` scores every method's column set once; a later `select`
+    /// on the same workload picks GrpSel's columns and replays them.
+    #[test]
+    fn methods_then_select_share_the_score_memo() {
+        let reg = Registry::new(RegistryConfig::default());
+        let req = WorkloadRequest::with_csv(csv::to_csv_string(&small_table(200, false)));
+        reg.methods(&req).unwrap();
+        let (hits, misses) = (reg.score_memo_hits(), reg.score_memo_misses());
+        assert_eq!(hits + misses, 5, "one lookup per method");
+        assert!(hits > 0, "methods sharing a column set fit once");
+        let (body, _, _) = reg.select(&req).unwrap();
+        assert_eq!(
+            (reg.score_memo_hits(), reg.score_memo_misses()),
+            (hits + 1, misses),
+            "select must replay the sweep's GrpSel report"
+        );
+        // And the replay is the report a fresh registry computes.
+        let (fresh, _, _) = Registry::new(RegistryConfig::default())
+            .select(&req)
+            .unwrap();
+        assert_eq!(body, fresh);
+    }
+
+    /// A warm child born by `append` starts with an empty score memo (its
+    /// train table differs from the parent's), and its report equals a
+    /// cold local run on the concatenated table.
+    #[test]
+    fn warm_child_starts_with_an_empty_score_memo() {
+        let reg = Registry::new(RegistryConfig::default());
+        let parent = small_table(200, false);
+        let batch = small_table(48, false);
+        let concat = parent.concat(&batch).unwrap();
+        let fp = reg.put(parent).unwrap();
+        let fp_req = |fp| WorkloadRequest {
+            dataset: DatasetRef::Fp(fp),
+            ..Default::default()
+        };
+        reg.select(&fp_req(fp)).unwrap();
+        let (child_fp, _) = reg.append(fp, batch).unwrap();
+        let (body, _, _) = reg.select(&fp_req(child_fp)).unwrap();
+        assert_eq!(reg.warm_children(), 1);
+        assert_eq!(
+            (reg.score_memo_hits(), reg.score_memo_misses()),
+            (0, 2),
+            "the child must fit its own model"
+        );
+        let child = workload(&reg, child_fp, &fp_req(child_fp));
+        assert_eq!(child.lock().scores.len(), 1);
+
+        // Ground truth: the local pipeline, cold, on the concatenated table.
+        let req = fp_req(child_fp);
+        let split = concat.split_rows_stable(req.seed, req.train_frac);
+        let cfg = pipeline_config(&req, split.train.n_rows()).unwrap();
+        let out = fairsel_core::run_pipeline_batched(
+            GTest::new(&split.train, req.alpha),
+            &split.train,
+            &split.test,
+            &cfg,
+        );
+        let local = render_pipeline_report(&out, &split.train, &cfg, split.test.n_rows());
+        assert_eq!(body, local);
+    }
+
+    /// A workload's score memo is capped: past `SCORE_MEMO_CAP` distinct
+    /// keys, residency stays at the cap and the ledger
+    /// `inserted == len + evictions` holds.
+    #[test]
+    fn workload_score_memo_is_bounded() {
+        let reg = Registry::new(RegistryConfig::default());
+        let req = WorkloadRequest::with_csv(csv::to_csv_string(&small_table(200, false)));
+        let (_, _, cache) = reg.select(&req).unwrap();
+        let state = workload(&reg, cache.fingerprint, &req);
+        let w = state.lock();
+        let problem = Problem::from_table(&w.train);
+        let base = pipeline_config(&req, w.train.n_rows()).unwrap();
+        for model_seed in 0..(SCORE_MEMO_CAP + 8) as u64 {
+            let cfg = PipelineConfig {
+                model_seed,
+                classifier: ClassifierKind::NaiveBayes,
+                ..base.clone()
+            };
+            fairsel_core::score_columns(&w.scores, &w.train, &w.test, &problem, &[], &cfg);
+            assert!(w.scores.len() <= SCORE_MEMO_CAP);
+        }
+        assert_eq!(w.scores.len(), SCORE_MEMO_CAP);
+        assert!(w.scores.evictions() > 0);
+        assert_eq!(
+            w.scores.inserted(),
+            w.scores.len() as u64 + w.scores.evictions()
+        );
     }
 }

@@ -785,6 +785,14 @@ fn stats_response(state: &ServerState) -> Response {
                 Json::Num(r.memo_invalidated() as f64),
             ),
             (
+                "score_memo_hits_total",
+                Json::Num(r.score_memo_hits() as f64),
+            ),
+            (
+                "score_memo_misses_total",
+                Json::Num(r.score_memo_misses() as f64),
+            ),
+            (
                 "active_conns",
                 Json::Num(state.active_conns.load(Ordering::SeqCst) as f64),
             ),
@@ -981,6 +989,15 @@ mod tests {
         };
         assert_eq!(s.get_u64("requests"), Some(2));
         assert_eq!(s.get_u64("resident_datasets"), Some(1));
+        // The warm repeat replayed the scored report: one fit in all.
+        assert_eq!(s.get_u64("score_memo_hits_total"), Some(1));
+        assert_eq!(s.get_u64("score_memo_misses_total"), Some(1));
+        let prom = crate::render_prom(&s);
+        assert!(prom.contains("fairsel_score_memo_hits_total 1\n"), "{prom}");
+        assert!(
+            prom.contains("fairsel_score_memo_misses_total 1\n"),
+            "{prom}"
+        );
         // Connection telemetry: every request above was its own admitted
         // connection; nothing was shed; real bytes moved both ways; the
         // request clock ticked.
