@@ -53,8 +53,8 @@ pub use grpsel::{grpsel, grpsel_batched, grpsel_batched_in, grpsel_in};
 pub use oracle::{theorem1_classification, GroundTruth};
 pub use pipeline::{
     render_pipeline_report, run_pipeline, run_pipeline_batched, run_pipeline_batched_in,
-    score_columns, ClassifierKind, PipelineConfig, PipelineResult, ScoreKey, ScoreMemo,
-    SelectionAlgo, SCORE_MEMO_CAP,
+    score_columns, ClassifierKind, PipelineConfig, PipelineResult, ScoreMemo, SelectionAlgo,
+    SCORE_MEMO_CAP,
 };
 pub use problem::{Problem, SelectConfig, Selection};
 pub use seqsel::{seqsel, seqsel_in};
